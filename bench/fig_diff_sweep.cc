@@ -57,7 +57,6 @@ runSide(const std::vector<std::string> &names, unsigned l1d_kb,
 
     sched::SuiteOptions sopts;
     sopts.jobs = opts.jobs;
-    sopts.recordTiming = false;
     sopts.select = select;
     sched::SuiteResult suite =
         sched::SuiteScheduler(specs, sopts).run();

@@ -523,7 +523,6 @@ BM_SuiteSectionedResume(benchmark::State &state)
     sched::SuiteOptions opts;
     opts.jobs = 4;
     opts.sections = 8;
-    opts.recordTiming = false;
     opts.storePath = path;
 
     std::filesystem::remove(path);

@@ -65,7 +65,7 @@ faultKeyCycle(std::uint64_t key)
 /**
  * Identity hash for already-packed fault keys: the low bits are the
  * fault cycle, which is as good a bucket index as any mixed hash, and
- * skipping the mix keeps the memo lookup off the campaign profile.
+ * skipping the mix keeps the batch-dedup lookup off the campaign profile.
  */
 struct FaultKeyHash
 {

@@ -46,8 +46,6 @@ struct InjectMetrics
         obs::Registry::global().counter("inject.early_exits");
     obs::Counter &quarantined =
         obs::Registry::global().counter("inject.quarantined");
-    obs::Counter &memoHits =
-        obs::Registry::global().counter("inject.memo_hits");
     obs::Counter &replayMasked =
         obs::Registry::global().counter("inject.replay_masked");
     obs::Counter &replayHandoffs =
@@ -108,48 +106,6 @@ outcomeName(Outcome o)
       case Outcome::Unknown: return "Unknown";
       default:               return "<bad>";
     }
-}
-
-// ---------------------------------------------------------- OutcomeMemo
-
-OutcomeMemo::OutcomeMemo(std::size_t expected_faults)
-{
-    if (expected_faults == 0)
-        return;
-    const std::size_t per_shard = expected_faults / kShards + 1;
-    for (Shard &s : shards_)
-        s.map.reserve(per_shard);
-}
-
-bool
-OutcomeMemo::lookup(std::uint64_t key, Outcome &out) const
-{
-    const Shard &s = shards_[shardOf(key)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.map.find(key);
-    if (it == s.map.end())
-        return false;
-    out = it->second;
-    return true;
-}
-
-void
-OutcomeMemo::insert(std::uint64_t key, Outcome o)
-{
-    Shard &s = shards_[shardOf(key)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.map.emplace(key, o);
-}
-
-std::size_t
-OutcomeMemo::size() const
-{
-    std::size_t n = 0;
-    for (const Shard &s : shards_) {
-        std::lock_guard<std::mutex> lock(s.mu);
-        n += s.map.size();
-    }
-    return n;
 }
 
 // ------------------------------------------------------ InjectionRunner
@@ -589,7 +545,7 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
 
 BatchPlan
 InjectionRunner::planBatch(const std::vector<Fault> &faults,
-                           const OutcomeMemo *memo) const
+                           const RestoredOutcomes *restored) const
 {
     BatchPlan plan;
     plan.outcomes.assign(faults.size(), Outcome::Masked);
@@ -597,19 +553,19 @@ InjectionRunner::planBatch(const std::vector<Fault> &faults,
     if (faults.empty())
         return plan;
 
-    // Resolve memo hits and collapse duplicates: the first occurrence
-    // of each key runs, later ones alias its slot afterwards.
+    // Answer restored faults and collapse duplicates: the first
+    // occurrence of each key runs, later ones alias its slot afterwards.
     std::unordered_map<std::uint64_t, std::uint32_t, FaultKeyHash> first;
     first.reserve(faults.size());
     plan.work.reserve(faults.size());
-    std::uint64_t memo_hits = 0;
     for (std::uint32_t i = 0; i < faults.size(); ++i) {
         plan.keys[i] = faultKey(faults[i]);
-        Outcome cached;
-        if (memo && memo->lookup(plan.keys[i], cached)) {
-            plan.outcomes[i] = cached;
-            ++memo_hits;
-            continue;
+        if (restored) {
+            if (auto it = restored->find(plan.keys[i]);
+                it != restored->end()) {
+                plan.outcomes[i] = it->second;
+                continue;
+            }
         }
         auto [it, fresh] = first.emplace(plan.keys[i], i);
         if (fresh)
@@ -617,8 +573,6 @@ InjectionRunner::planBatch(const std::vector<Fault> &faults,
         else
             plan.aliases.emplace_back(i, it->second);
     }
-    if (memo_hits)
-        injectMetrics().memoHits.add(memo_hits);
     if (!plan.aliases.empty())
         injectMetrics().dedupAliases.add(plan.aliases.size());
 
@@ -635,22 +589,17 @@ InjectionRunner::planBatch(const std::vector<Fault> &faults,
 }
 
 void
-InjectionRunner::finishBatch(BatchPlan &plan, OutcomeMemo *memo) const
+InjectionRunner::finishBatch(BatchPlan &plan) const
 {
-    if (memo) {
-        for (std::uint32_t i : plan.work)
-            memo->insert(plan.keys[i], plan.outcomes[i]);
-    }
     for (auto [dst, src] : plan.aliases)
         plan.outcomes[dst] = plan.outcomes[src];
 }
 
 std::vector<Outcome>
 InjectionRunner::injectBatch(const std::vector<Fault> &faults,
-                             const GoldenRun &ref, unsigned jobs,
-                             OutcomeMemo *memo) const
+                             const GoldenRun &ref, unsigned jobs) const
 {
-    BatchPlan plan = planBatch(faults, memo);
+    BatchPlan plan = planBatch(faults);
 
     const auto runOne = [&](std::uint64_t w) {
         const std::uint32_t i = plan.work[w];
@@ -668,17 +617,17 @@ InjectionRunner::injectBatch(const std::vector<Fault> &faults,
         pool.parallelFor(plan.work.size(), runOne);
     }
 
-    finishBatch(plan, memo);
+    finishBatch(plan);
     return std::move(plan.outcomes);
 }
 
 std::vector<Outcome>
 InjectionRunner::injectBatch(const std::vector<Fault> &faults,
                              const GoldenRun &ref, base::TaskGroup &group,
-                             OutcomeMemo *memo,
+                             const RestoredOutcomes *restored,
                              const OutcomeCallback *on_outcome) const
 {
-    BatchPlan plan = planBatch(faults, memo);
+    BatchPlan plan = planBatch(faults, restored);
 
     // One pool task per injection: the shared pool's queue interleaves
     // these with every other in-flight batch, which is exactly the
@@ -698,7 +647,7 @@ InjectionRunner::injectBatch(const std::vector<Fault> &faults,
     }
     group.wait();
 
-    finishBatch(plan, memo);
+    finishBatch(plan);
     return std::move(plan.outcomes);
 }
 

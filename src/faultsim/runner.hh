@@ -97,49 +97,21 @@ struct GoldenRun
 };
 
 /**
- * Concurrency-safe per-fault outcome cache keyed by faultKey().
- * Sharded by the low key bits (the fault cycle) so a cycle-sorted batch
- * spreads its insertions across shards; each shard's table is reserved
- * up front to avoid rehash churn in the injection hot loop.
+ * Outcomes known before a batch runs, keyed by faultKey(): what a
+ * resumed campaign restored from its outcome journal.  planBatch()
+ * answers these faults from the map instead of simulating them.
  */
-class OutcomeMemo
-{
-  public:
-    explicit OutcomeMemo(std::size_t expected_faults = 0);
-
-    /** @return true and set @p out if @p key is present. */
-    bool lookup(std::uint64_t key, Outcome &out) const;
-
-    void insert(std::uint64_t key, Outcome o);
-
-    std::size_t size() const;
-
-  private:
-    static constexpr unsigned kShards = 16;
-
-    static unsigned
-    shardOf(std::uint64_t key)
-    {
-        return static_cast<unsigned>(key & (kShards - 1));
-    }
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::unordered_map<std::uint64_t, Outcome, FaultKeyHash> map;
-    };
-    std::array<Shard, kShards> shards_;
-};
+using RestoredOutcomes = std::unordered_map<std::uint64_t, Outcome>;
 
 /**
- * Deterministic execution plan for one batch of faults: memo hits
- * resolved, duplicates collapsed onto their first occurrence, fresh
- * work cycle-sorted for checkpoint locality.  Produced by
+ * Deterministic execution plan for one batch of faults: restored
+ * outcomes resolved, duplicates collapsed onto their first occurrence,
+ * fresh work cycle-sorted for checkpoint locality.  Produced by
  * InjectionRunner::planBatch(); the work items may then be executed by
  * any thread in any order (each outcome is a pure function of its
- * fault), and finishBatch() publishes memo entries and fills the
- * duplicate slots.  This is the hook the suite scheduler uses to feed
- * many campaigns' injections into one shared pool.
+ * fault), and finishBatch() fills the duplicate slots.  This is the
+ * hook the suite scheduler uses to feed many campaigns' injections
+ * into one shared pool.
  */
 struct BatchPlan
 {
@@ -313,8 +285,8 @@ class InjectionRunner
 
     /**
      * Per-outcome completion callback for injectBatch: invoked from
-     * the executing thread as each FRESH injection finishes (memo
-     * hits and duplicate aliases are not reported).  Used by the
+     * the executing thread as each FRESH injection finishes (restored
+     * outcomes and duplicate aliases are not reported).  Used by the
      * suite scheduler to journal outcomes as they complete; must be
      * internally synchronized.
      */
@@ -323,15 +295,14 @@ class InjectionRunner
 
     /**
      * Inject every fault of @p faults and return their outcomes in the
-     * same order.  Duplicate faults (and faults already in @p memo) run
-     * once; fresh work is sorted by flip cycle for checkpoint locality
-     * and fanned out over @p jobs worker threads (0 = hardware
-     * concurrency, 1 = inline).  Results are bit-identical for any
+     * same order.  Duplicate faults run once; fresh work is sorted by
+     * flip cycle for checkpoint locality and fanned out over @p jobs
+     * worker threads (0 = hardware concurrency, 1 = inline).  Results are bit-identical for any
      * thread count: each outcome is a pure function of its fault.
      */
     std::vector<Outcome> injectBatch(const std::vector<Fault> &faults,
-                                     const GoldenRun &ref, unsigned jobs,
-                                     OutcomeMemo *memo = nullptr) const;
+                                     const GoldenRun &ref,
+                                     unsigned jobs) const;
 
     /**
      * injectBatch on an EXTERNAL shared pool: every fresh injection is
@@ -339,25 +310,27 @@ class InjectionRunner
      * the shared pool interleave (steal) work from concurrent batches.
      * Blocks until the batch is done, help-running queued pool tasks
      * meanwhile (safe to call from inside a pool task).  @p group must
-     * be used by one batch at a time.  Results are identical to the
-     * jobs-overload for any pool size or schedule.
+     * be used by one batch at a time.  Faults in @p restored are not
+     * simulated.  Results are identical to the jobs-overload for any
+     * pool size or schedule.
      */
     std::vector<Outcome> injectBatch(
         const std::vector<Fault> &faults, const GoldenRun &ref,
-        base::TaskGroup &group, OutcomeMemo *memo = nullptr,
+        base::TaskGroup &group, const RestoredOutcomes *restored = nullptr,
         const OutcomeCallback *on_outcome = nullptr) const;
 
     /**
-     * Build the deterministic plan for @p faults: resolve @p memo hits,
-     * collapse duplicates, cycle-sort the remaining work.  Callers then
-     * run plan.work items in any order/thread
-     * (`plan.outcomes[i] = inject(faults[i], ref)`) and finishBatch().
+     * Build the deterministic plan for @p faults: answer faults in
+     * @p restored from it, collapse duplicates, cycle-sort the
+     * remaining work.  Callers then run plan.work items in any
+     * order/thread (`plan.outcomes[i] = inject(faults[i], ref)`) and
+     * finishBatch().
      */
     BatchPlan planBatch(const std::vector<Fault> &faults,
-                        const OutcomeMemo *memo = nullptr) const;
+                        const RestoredOutcomes *restored = nullptr) const;
 
-    /** Publish a completed plan: memo inserts + duplicate-slot fills. */
-    void finishBatch(BatchPlan &plan, OutcomeMemo *memo = nullptr) const;
+    /** Complete a plan whose work has run: fill the duplicate slots. */
+    void finishBatch(BatchPlan &plan) const;
 
     /** Classify a completed faulty run (exposed for testing). */
     static Outcome classify(const isa::ArchResult &faulty,

@@ -8,21 +8,20 @@
  * journal closes that gap: as injections of a campaign complete, their
  * (fault key, outcome) pairs are appended to a per-spec file next to
  * the shard spill and fsync'd on a short cadence.  A resumed suite
- * (--resume) replays the journal into the batch memo, so only the
- * missing injections run again — and because outcomes are a pure
- * function of their fault, the resumed campaign's result (and the
- * saved store) is byte-identical to an uninterrupted run's.
+ * (--resume) restores the journal into a map of known outcomes that
+ * the injection batch answers from, so only the missing injections
+ * run again — and because outcomes are a pure function of their
+ * fault, the resumed campaign's result (and the saved store) is
+ * byte-identical to an uninterrupted run's.
  *
- * Format: one header line `{"format":"merlin-journal-v1","spec":K}`
- * then one compact JSON array per entry,
- * `[key, outcome, early_exit, replay, cycles_skipped, head_cycles]`
- * with a seventh element — the quarantine reason — when the injection
- * was quarantined (`replay` is the numeric ReplayAction).  Legacy
- * 3/4-element entries without the replay fields restore fine, counting
- * zero toward the replay totals.  A torn final line is the expected
- * crash artifact
- * and is truncated away on restore; garbage in a COMPLETE line is real
- * corruption and fatal.  The journal is removed once the campaign's
+ * Format: one header line `{"format":"merlin-journal-v2","spec":K}`
+ * then one compact JSON array per entry: `[key, outcome]`, or
+ * `[key, outcome, reason]` when the injection was quarantined.  Like
+ * the store, the journal records outcomes only — no engine counters.
+ * Any other header (merlin-journal-v1 included) is an unknown format.
+ * A torn final line is the expected crash artifact and is truncated
+ * away on restore; garbage in a COMPLETE line is real corruption and
+ * fatal.  The journal is removed once the campaign's
  * result reaches the store, whose atomic save takes over from there.
  */
 
@@ -47,18 +46,8 @@ class OutcomeJournal
     /** What restore() recovered from a previous, interrupted run. */
     struct Restored
     {
-        /** Completed injection runs replayed from the journal. */
+        /** Completed injections restored from the journal. */
         std::uint64_t runs = 0;
-        /** Of which ended at a golden-reconvergence checkpoint. */
-        std::uint64_t earlyExits = 0;
-        /** Of which the replay fast path proved dead (Masked). */
-        std::uint64_t replayMasked = 0;
-        /** Of which replay handed off to full simulation. */
-        std::uint64_t replayHandoffs = 0;
-        /** Full-simulation cycles the replay fast path avoided. */
-        std::uint64_t replayCyclesSkipped = 0;
-        /** Total pre-divergence head cycles of replayed entries. */
-        std::uint64_t replayHeadCycles = 0;
         /** Quarantined injections, with their recorded reasons. */
         std::vector<faultsim::QuarantineRecord> quarantine;
     };
@@ -81,29 +70,17 @@ class OutcomeJournal
 
     /**
      * Replay an existing journal file, feeding every complete entry to
-     * @p sink (the caller seeds its OutcomeMemo with them) and
-     * returning the recovered counters.  A torn final line — the
-     * artifact of a mid-append crash — is truncated off the file so a
-     * later open() appends after the valid prefix; a torn HEADER means
-     * no entry ever landed, so the file is discarded with a warning.
-     * A complete-but-malformed line, or a header naming a different
-     * spec, is real corruption and fatal.  Missing file or disabled
-     * journal: returns zeros.
+     * @p sink (the caller collects them into a RestoredOutcomes map)
+     * and returning the run count and quarantine records.  A torn
+     * final line — the artifact of a mid-append crash — is truncated
+     * off the file so a later open() appends after the valid prefix; a
+     * torn HEADER means no entry ever landed, so the file is discarded
+     * with a warning.  A complete-but-malformed line, or a header
+     * naming a different spec, is real corruption and fatal.  Missing
+     * file or disabled journal: returns zeros.
      */
     Restored
     restore(const std::function<void(std::uint64_t, faultsim::Outcome)>
-                &sink);
-
-    /**
-     * Like restore(sink), but hands the sink the full per-injection
-     * detail reconstructed from the entry (replay action, skipped and
-     * head cycles, quarantine flag + reason).  Sectioned campaigns use
-     * this to re-attribute every restored injection to its section;
-     * the detail-free overload above is a thin wrapper.
-     */
-    Restored
-    restore(const std::function<void(std::uint64_t, faultsim::Outcome,
-                                     const faultsim::InjectDetail &)>
                 &sink);
 
     /**
@@ -115,9 +92,11 @@ class OutcomeJournal
     void open();
 
     /**
-     * Record one completed injection.  Thread-safe; called from pool
-     * workers as injections finish, in whatever order they finish
-     * (order never matters: restore feeds a memo, not a result).
+     * Record one completed injection: its outcome, plus the quarantine
+     * reason from @p detail when it was quarantined.  Thread-safe;
+     * called from pool workers as injections finish, in whatever order
+     * they finish (order never matters: restore feeds a key->outcome
+     * map, not a result).
      */
     void append(std::uint64_t key, faultsim::Outcome outcome,
                 const faultsim::InjectDetail &detail);

@@ -29,11 +29,12 @@ using core::HomogeneityReport;
 namespace
 {
 
-// Written format.  v1 files (whole-campaign entries only, no
-// "sections" member) still load; their entries are served as
-// all-sections hits by the suite scheduler.
-constexpr const char *kFormatTag = "merlin-store-v2";
-constexpr const char *kFormatTagV1 = "merlin-results-v1";
+// Written format.  v3 stores keep outcomes only; the older tags
+// below also carried wall clock and engine counters, and are refused
+// by name rather than read through a second schema path.
+constexpr const char *kFormatTag = "merlin-store-v3";
+constexpr const char *kRetiredFormatTags[] = {"merlin-store-v2",
+                                              "merlin-results-v1"};
 
 Json
 classCountsToJson(const ClassCounts &c)
@@ -167,12 +168,6 @@ resultToJson(const CampaignResult &r)
     }
     j.set("speedup_ace", r.speedupAce);
     j.set("speedup_total", r.speedupTotal);
-    j.set("injection_runs", r.injectionRuns);
-    j.set("early_exits", r.earlyExits);
-    j.set("replay_masked", r.replayMasked);
-    j.set("replay_handoffs", r.replayHandoffs);
-    j.set("replay_cycles_skipped", r.replayCyclesSkipped);
-    j.set("replay_head_cycles", r.replayHeadCycles);
     if (!r.quarantine.empty()) {
         // Only when non-empty, so stores of clean campaigns keep their
         // pre-quarantine bytes.  Entries are (packed fault key, reason)
@@ -181,9 +176,6 @@ resultToJson(const CampaignResult &r)
         // so each record pins down one reproducible injection.
         j.set("quarantine", quarantineToJson(r.quarantine));
     }
-    j.set("profile_seconds", r.profileSeconds);
-    j.set("injection_seconds", r.injectionSeconds);
-    j.set("seconds_per_injection", r.secondsPerInjection);
     return j;
 }
 
@@ -225,18 +217,8 @@ resultFromJson(const Json &j, std::size_t *skipped_quarantine)
     }
     r.speedupAce = j.at("speedup_ace").asDouble();
     r.speedupTotal = j.at("speedup_total").asDouble();
-    // Tolerant reads: absent in pre-early-exit / pre-replay stores.
-    r.injectionRuns = j.u64Or("injection_runs", 0);
-    r.earlyExits = j.u64Or("early_exits", 0);
-    r.replayMasked = j.u64Or("replay_masked", 0);
-    r.replayHandoffs = j.u64Or("replay_handoffs", 0);
-    r.replayCyclesSkipped = j.u64Or("replay_cycles_skipped", 0);
-    r.replayHeadCycles = j.u64Or("replay_head_cycles", 0);
     if (const Json *q = j.find("quarantine"))
         quarantineFromJson(*q, r.quarantine, skipped_quarantine);
-    r.profileSeconds = j.numOr("profile_seconds", 0.0);
-    r.injectionSeconds = j.numOr("injection_seconds", 0.0);
-    r.secondsPerInjection = j.numOr("seconds_per_injection", 0.0);
     return r;
 }
 
@@ -245,12 +227,6 @@ sectionDataToJson(const core::SectionData &s)
 {
     Json j = Json::object();
     j.set("estimate", classCountsToJson(s.estimate));
-    j.set("injection_runs", s.injectionRuns);
-    j.set("early_exits", s.earlyExits);
-    j.set("replay_masked", s.replayMasked);
-    j.set("replay_handoffs", s.replayHandoffs);
-    j.set("replay_cycles_skipped", s.replayCyclesSkipped);
-    j.set("replay_head_cycles", s.replayHeadCycles);
     if (!s.quarantine.empty())
         j.set("quarantine", quarantineToJson(s.quarantine));
     return j;
@@ -261,12 +237,6 @@ sectionDataFromJson(const Json &j, std::size_t *skipped_quarantine)
 {
     core::SectionData s;
     s.estimate = classCountsFromJson(j.at("estimate"));
-    s.injectionRuns = j.at("injection_runs").asU64();
-    s.earlyExits = j.at("early_exits").asU64();
-    s.replayMasked = j.at("replay_masked").asU64();
-    s.replayHandoffs = j.at("replay_handoffs").asU64();
-    s.replayCyclesSkipped = j.at("replay_cycles_skipped").asU64();
-    s.replayHeadCycles = j.at("replay_head_cycles").asU64();
     if (const Json *q = j.find("quarantine"))
         quarantineFromJson(*q, s.quarantine, skipped_quarantine);
     return s;
@@ -317,7 +287,14 @@ ResultStore::load()
               "`merlin_cli store merge`) before resuming");
     }
     const std::string format = doc.strOr("format", "");
-    if (format != kFormatTag && format != kFormatTagV1)
+    for (const char *retired : kRetiredFormatTags) {
+        if (format == retired)
+            fatal("result store '", path_, "' is ", retired,
+                  ", which this build no longer reads (", kFormatTag,
+                  " stores outcomes only); stores are recomputable "
+                  "caches — delete it and re-run the suite");
+    }
+    if (format != kFormatTag)
         fatal("result store '", path_, "': unknown format");
     entries_.clear();
     sections_.clear();

@@ -7,25 +7,30 @@
  * get three things from it:
  *
  *   --out results.json   the suite's deliverable (all class counts,
- *                        group models, homogeneity and timing, one
- *                        entry per campaign);
+ *                        group models and homogeneity, one entry per
+ *                        campaign);
  *   cache hits           a spec whose key is already in the store is
  *                        not re-run — its stored result is returned;
  *   --resume             the store is saved after every campaign
  *                        completes, so an interrupted suite restarts
  *                        from the finished prefix, not from scratch.
  *
- * Entries are kept sorted by key and doubles are written in their
- * shortest round-trip form, so a store's serialization is a pure
- * function of its contents — byte-identical for any job count or
- * campaign completion order.
+ * A stored result carries the campaign's answer only: class counts,
+ * fault-list accounting, group models, homogeneity and quarantine
+ * records.  Wall clock and engine counters (runs, early exits, replay
+ * consults) describe one execution, not the question, and stay in
+ * memory and in the metrics registry.  Entries are kept sorted by key
+ * and doubles are written in their shortest round-trip form, so a
+ * store's serialization is a pure function of the specs it answers —
+ * byte-identical across runs, job counts and completion orders, with
+ * no flag needed.
  *
- * Stores are written in the merlin-store-v2 shape, which adds an
- * optional "sections" member beside "campaigns": section-keyed tables
- * (reduced spec x golden-run section) that let the suite scheduler
- * serve PARTIAL hits — re-running only the sections a knob change
- * actually misses.  Legacy merlin-results-v1 files load unchanged
- * (their whole-campaign entries are served as all-sections hits).
+ * Stores are written in the merlin-store-v3 shape: "campaigns" plus
+ * an optional "sections" member of section-keyed tables (reduced spec
+ * x golden-run section) that let the suite scheduler serve PARTIAL
+ * hits — re-running only the sections a knob change actually misses.
+ * Older merlin-store-v2 and merlin-results-v1 files are refused by
+ * name: a store is a recomputable cache, so delete it and re-run.
  *
  * Not internally synchronized: concurrent writers must serialize
  * access (the suite scheduler holds one mutex across put()+save()).
@@ -45,7 +50,11 @@
 namespace merlin::io
 {
 
-/** CampaignResult -> JSON (every field, including the optionals). */
+/**
+ * CampaignResult -> JSON: every outcome field, including the
+ * optionals.  The engine counters and wall-clock members are not
+ * written.
+ */
 Json resultToJson(const core::CampaignResult &r);
 
 /**
@@ -78,7 +87,7 @@ class ResultStore
     };
 
     /**
-     * One section-keyed table (the merlin-store-v2 addition): the
+     * One section-keyed table: the
      * per-section slices of every campaign sharing one reduced spec —
      * the spec minus the swept knobs, plus the section count.  Tables
      * are always written COMPLETE (one entry per section index, empty
@@ -119,7 +128,9 @@ class ResultStore
     /**
      * Read the store file.  @return false when the file is absent (a
      * fresh store); throws FatalError when present but malformed —
-     * silently dropping a corrupt store would re-run every campaign.
+     * silently dropping a corrupt store would re-run every campaign —
+     * or written in a retired format (merlin-store-v2,
+     * merlin-results-v1).
      */
     bool load();
 
@@ -205,7 +216,7 @@ class ResultStore
   private:
     std::string path_;
     std::map<std::string, Entry> entries_; ///< sorted => stable dumps
-    std::map<std::string, SectionTable> sections_; ///< v2 tables
+    std::map<std::string, SectionTable> sections_; ///< section tables
     std::optional<Json> selection_;        ///< worker share, if any
 };
 

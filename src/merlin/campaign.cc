@@ -53,15 +53,6 @@ void
 SectionData::addRun(std::uint64_t fault_key,
                     const faultsim::InjectDetail &detail)
 {
-    ++injectionRuns;
-    if (detail.earlyExit)
-        ++earlyExits;
-    if (detail.replay == faultsim::ReplayAction::Masked)
-        ++replayMasked;
-    else if (detail.replay == faultsim::ReplayAction::Handoff)
-        ++replayHandoffs;
-    replayCyclesSkipped += detail.replayCyclesSkipped;
-    replayHeadCycles += detail.replayHeadCycles;
     if (detail.quarantined)
         quarantine.push_back(
             faultsim::QuarantineRecord{fault_key, detail.reason});
@@ -110,19 +101,12 @@ groupSections(const PreparedCampaign &prep, unsigned sections)
 }
 
 CampaignResult
-composeSectioned(PreparedCampaign prep, std::vector<SectionData> &table,
-                 double injection_seconds, std::size_t fresh_faults)
+composeSectioned(PreparedCampaign prep, std::vector<SectionData> &table)
 {
     CampaignResult res = std::move(prep.result);
     for (SectionData &s : table) {
         for (std::size_t c = 0; c < s.estimate.counts.size(); ++c)
             res.merlinSurvivorEstimate.counts[c] += s.estimate.counts[c];
-        res.injectionRuns += s.injectionRuns;
-        res.earlyExits += s.earlyExits;
-        res.replayMasked += s.replayMasked;
-        res.replayHandoffs += s.replayHandoffs;
-        res.replayCyclesSkipped += s.replayCyclesSkipped;
-        res.replayHeadCycles += s.replayHeadCycles;
         std::sort(s.quarantine.begin(), s.quarantine.end(),
                   [](const faultsim::QuarantineRecord &a,
                      const faultsim::QuarantineRecord &b) {
@@ -141,11 +125,6 @@ composeSectioned(PreparedCampaign prep, std::vector<SectionData> &table,
                   return a.faultKey != b.faultKey ? a.faultKey < b.faultKey
                                                   : a.reason < b.reason;
               });
-    res.injectionSeconds = injection_seconds;
-    res.secondsPerInjection =
-        fresh_faults ? injection_seconds /
-                           static_cast<double>(fresh_faults)
-                     : 0.0;
     return res;
 }
 

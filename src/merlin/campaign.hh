@@ -113,6 +113,11 @@ struct CampaignResult
     double speedupAce = 0.0;   ///< initial / survivors
     double speedupTotal = 0.0; ///< initial / injections
 
+    // Engine telemetry of the run that produced this result: the
+    // counters and wall-clock fields below are in-memory facts, never
+    // persisted (the store keeps outcomes only), so they read zero on
+    // a result loaded from a store or composed from section tables.
+
     // Early-exit accounting (faulty runs that provably reconverged
     // with the golden state and were cut short).
     std::uint64_t injectionRuns = 0; ///< distinct faulty runs simulated
@@ -202,13 +207,12 @@ struct PreparedCampaign
  * One section's slice of a sectioned campaign: the golden run is cut
  * into `sections` equal cycle intervals, every fault group is
  * attributed to the section containing its representative's injection
- * cycle, and this struct carries everything the section contributed to
- * the campaign — the survivor-restricted extrapolated outcome counts
- * plus the per-run engine counters and quarantine records.  A complete
- * table of these (one per section) composes back into the exact
- * CampaignResult a cold full run produces, which is what lets the
- * result store serve *partial* hits: only missing sections' faults are
- * re-injected.
+ * cycle, and this struct carries the outcomes the section contributed
+ * to the campaign — the survivor-restricted extrapolated counts plus
+ * the quarantine records.  A complete table of these (one per section)
+ * composes back into the exact stored result a cold full run produces,
+ * which is what lets the result store serve *partial* hits: only
+ * missing sections' faults are re-injected.
  */
 struct SectionData
 {
@@ -216,17 +220,11 @@ struct SectionData
      *  (survivor-restricted; ACE-masked faults are added once at
      *  composition, not per section). */
     ClassCounts estimate;
-    std::uint64_t injectionRuns = 0;
-    std::uint64_t earlyExits = 0;
-    std::uint64_t replayMasked = 0;
-    std::uint64_t replayHandoffs = 0;
-    std::uint64_t replayCyclesSkipped = 0;
-    std::uint64_t replayHeadCycles = 0;
     /** Sorted by (fault key, reason), like CampaignResult::quarantine. */
     std::vector<faultsim::QuarantineRecord> quarantine;
 
-    /** Fold one completed injection run's engine facts in (not the
-     *  outcome — estimates extrapolate per group, not per run). */
+    /** Fold one completed injection run in: records it when it was
+     *  quarantined (the outcome itself extrapolates per group). */
     void addRun(std::uint64_t fault_key,
                 const faultsim::InjectDetail &detail);
 };
@@ -263,19 +261,16 @@ std::vector<unsigned> groupSections(const PreparedCampaign &prep,
  * Compose a CampaignResult from a COMPLETE per-section table (stored
  * hits and freshly-run sections alike) — the sectioned counterpart of
  * Campaign::finish().  Sums the survivor-restricted estimates, adds
- * the ACE-masked faults once, sums the engine counters, and
- * concatenates + sorts the quarantine records; each section's own
- * quarantine list is also sorted in place so @p table serializes
- * deterministically.  Byte-identical to a cold full run's result by
- * construction (integer sums commute; every per-run fact is a pure
- * function of its fault).  @p fresh_faults is the number of faults
- * this process actually handed to the injection engine (the
- * seconds-per-injection denominator).
+ * the ACE-masked faults once, and concatenates + sorts the quarantine
+ * records; each section's own quarantine list is also sorted in place
+ * so @p table serializes deterministically.  The stored result is
+ * byte-identical to a cold full run's by construction (integer sums
+ * commute; every outcome is a pure function of its fault).  The
+ * engine counters and seconds stay zero: they describe a run, and
+ * this result is assembled from several.
  */
 CampaignResult composeSectioned(PreparedCampaign prep,
-                                std::vector<SectionData> &table,
-                                double injection_seconds,
-                                std::size_t fresh_faults);
+                                std::vector<SectionData> &table);
 
 /** Drives one (program, structure, configuration) campaign. */
 class Campaign

@@ -685,24 +685,23 @@ CampaignService::runSectioned(Job &job, core::Campaign &camp,
                                     goldenCycles, S);
     };
     std::vector<faultsim::Outcome> outcomes;
-    double inject_seconds = 0.0;
     io::OutcomeJournal journal(journalPathFor(spec), spec.key());
     if (!runFaults.empty()) {
-        faultsim::OutcomeMemo memo(runFaults.size());
+        faultsim::RestoredOutcomes known;
         io::OutcomeJournal::Restored restored;
         if (job.resume) {
             obs::Span replay_span("io", "journal.replay");
             restored = journal.restore(
-                [&](std::uint64_t key, faultsim::Outcome o,
-                    const faultsim::InjectDetail &detail) {
-                    memo.insert(key, o);
-                    // Hit sections already carry their runs inside
-                    // the stored table; only missing sections
-                    // account the replayed share.
-                    const unsigned s = sectionOfKey(key);
-                    if (missing[s])
-                        acct[s].addRun(key, detail);
+                [&](std::uint64_t key, faultsim::Outcome o) {
+                    known.emplace(key, o);
                 });
+        }
+        // Hit sections already carry their quarantine inside the
+        // stored table; only missing sections take the replayed share.
+        for (const faultsim::QuarantineRecord &rec : restored.quarantine) {
+            const unsigned s = sectionOfKey(rec.faultKey);
+            if (missing[s])
+                acct[s].quarantine.push_back(rec);
         }
         bumpRelaxed(progress, &obs::ProgressSink::injections,
                     restored.runs);
@@ -722,19 +721,17 @@ CampaignService::runSectioned(Job &job, core::Campaign &camp,
                 bumpRelaxed(progress, &obs::ProgressSink::injections);
             };
         base::TaskGroup group(pool_);
-        const obs::TimePoint t1 = obs::now();
         {
             obs::Span inject_span("campaign",
                                   "inject-batch " + spec.workload);
             outcomes = camp.runner().injectBatch(
-                runFaults, camp.goldenRun(), group, &memo, &record);
+                runFaults, camp.goldenRun(), group, &known, &record);
         }
-        inject_seconds = obs::secondsSince(t1);
         journal.close();
     }
     // Extrapolate each freshly-run group into its section's slice.
-    // The engine counters are already inside acct: restored runs
-    // via the restore sink, simulated runs via the callback.
+    // The quarantine records are already inside acct: restored ones
+    // from the journal, simulated ones via the callback.
     for (std::size_t p = 0; p < runFaults.size(); ++p) {
         const std::size_t g = freshGroups[p];
         acct[gsec[g]].estimate.add(
@@ -745,13 +742,8 @@ CampaignService::runSectioned(Job &job, core::Campaign &camp,
     std::vector<core::SectionData> table(S);
     for (unsigned s = 0; s < S; ++s)
         table[s] = missing[s] ? std::move(acct[s]) : hit.sections.at(s);
-    core::CampaignResult res = core::composeSectioned(
-        std::move(prep), table, inject_seconds, runFaults.size());
-    if (!cfg_.recordTiming) {
-        res.profileSeconds = 0.0;
-        res.injectionSeconds = 0.0;
-        res.secondsPerInjection = 0.0;
-    }
+    core::CampaignResult res =
+        core::composeSectioned(std::move(prep), table);
     const std::string rkey = reducedKeyFor(spec, S);
     const std::vector<std::string> shardDirs = shardDirsOf(job);
     {
@@ -799,17 +791,17 @@ CampaignService::runJob(Job &job)
     io::OutcomeJournal journal(journalPathFor(spec), spec.key());
     io::OutcomeJournal::Restored restored;
     if (!prep.faults.empty()) {
-        // Crash safety under the per-campaign store save: replay the
-        // journal of a killed predecessor into the batch memo (so
-        // finished injections are not re-simulated), then journal
-        // every fresh outcome as it lands.  Without resume the
-        // journal is started over along with the campaign.
-        faultsim::OutcomeMemo memo(prep.faults.size());
+        // Crash safety under the per-campaign store save: restore the
+        // journal of a killed predecessor (so finished injections are
+        // not re-simulated), then journal every fresh outcome as it
+        // lands.  Without resume the journal is started over along
+        // with the campaign.
+        faultsim::RestoredOutcomes known;
         if (job.resume) {
             obs::Span replay_span("io", "journal.replay");
             restored = journal.restore(
                 [&](std::uint64_t key, faultsim::Outcome o) {
-                    memo.insert(key, o);
+                    known.emplace(key, o);
                 });
         }
         bumpRelaxed(progress, &obs::ProgressSink::injections,
@@ -824,31 +816,23 @@ CampaignService::runJob(Job &job)
         // Fan this campaign's injections into the SHARED pool: the
         // queue interleaves them with every other in-flight
         // campaign, so any worker whose own campaign chain has run
-        // dry picks them up.  (The batch dedups internally; no
-        // cross-batch memo exists to share any more.)
+        // dry picks them up.
         base::TaskGroup group(pool_);
         const obs::TimePoint t1 = obs::now();
         {
             obs::Span inject_span("campaign",
                                   "inject-batch " + spec.workload);
             outcomes = camp.runner().injectBatch(
-                prep.faults, camp.goldenRun(), group, &memo, &record);
+                prep.faults, camp.goldenRun(), group, &known, &record);
         }
         inject_seconds = obs::secondsSince(t1);
         journal.close();
     }
     core::CampaignResult res =
         camp.finish(std::move(prep), outcomes, inject_seconds);
-    // Fold the replayed share back in: the runner's counters only
-    // saw what THIS process simulated, but the result must equal
-    // an uninterrupted run's — same totals, same sorted quarantine
-    // list — for the store bytes to stay identical.
-    res.injectionRuns += restored.runs;
-    res.earlyExits += restored.earlyExits;
-    res.replayMasked += restored.replayMasked;
-    res.replayHandoffs += restored.replayHandoffs;
-    res.replayCyclesSkipped += restored.replayCyclesSkipped;
-    res.replayHeadCycles += restored.replayHeadCycles;
+    // Fold the replayed quarantine records back in: the runner only
+    // saw what THIS process simulated, but the stored list must equal
+    // an uninterrupted run's for the store bytes to stay identical.
     if (!restored.quarantine.empty()) {
         res.quarantine.insert(res.quarantine.end(),
                               restored.quarantine.begin(),
@@ -860,11 +844,6 @@ CampaignService::runJob(Job &job)
                                  ? a.faultKey < b.faultKey
                                  : a.reason < b.reason;
                   });
-    }
-    if (!cfg_.recordTiming) {
-        res.profileSeconds = 0.0;
-        res.injectionSeconds = 0.0;
-        res.secondsPerInjection = 0.0;
     }
     const std::vector<std::string> shardDirs = shardDirsOf(job);
     {

@@ -22,7 +22,10 @@
  *   - every completed campaign is persisted (put + atomic save) under
  *     one store mutex, with optional single-entry shard spill;
  *   - a crash-safe outcome journal protects each running campaign, and
- *     is removed once the store save lands.
+ *     is removed once the store save lands.  A resumed campaign answers
+ *     its journalled faults from the restored outcomes; store and
+ *     journal hold outcomes only, so nothing but the quarantine
+ *     records has to be folded back for the bytes to match.
  *
  * New, service-only semantics:
  *
@@ -91,8 +94,6 @@ class CampaignService
         std::string journalDir;
         /** Section count for incremental campaigns (0 = off). */
         unsigned sections = 0;
-        /** Zero wall-clock fields so stored bytes are reproducible. */
-        bool recordTiming = true;
         /** Quarantine knobs (operational, never part of a spec). */
         double injectWallLimit = 0.0;
         bool quarantineFail = false;

@@ -344,7 +344,6 @@ SuiteScheduler::run()
             : (opts_.storePath.empty() ? std::string()
                                        : opts_.storePath + ".journal");
     cfg.sections = opts_.sections;
-    cfg.recordTiming = opts_.recordTiming;
     cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;

@@ -20,7 +20,10 @@
  * written (atomically) to a ResultStore keyed by the spec's content
  * hash; reuseCached turns matching stored entries into cache hits that
  * skip the campaign entirely, which is also how an interrupted suite
- * resumes.
+ * resumes.  Stored results carry outcomes only (no wall clock, no
+ * engine counters), so two runs of the same suite write byte-identical
+ * stores by default.  Engine telemetry goes to the metrics registry
+ * (--metrics) instead.
  */
 
 #ifndef MERLIN_SCHED_SUITE_HH
@@ -158,12 +161,6 @@ struct SuiteOptions
      * so it must not change the cache key.
      */
     unsigned sections = 0;
-    /**
-     * Record wall-clock fields in the results.  Off zeroes them so
-     * the serialized store is byte-identical across runs — the suite
-     * determinism guarantee in testable form.
-     */
-    bool recordTiming = true;
     /**
      * Per-injection real-wall-clock watchdog in seconds (0 = off),
      * and what to do when the quarantine guard fires.  Operational

@@ -243,7 +243,6 @@ suiteOptionsFromArgs(const Args &args)
     opts.storePath = args.get("out");
     opts.shardDir = args.get("out-dir");
     opts.reuseCached = args.has("resume");
-    opts.recordTiming = !args.has("no-timing");
     opts.sections = args.getU32("sections", 0);
     if (args.has("sections") &&
         (opts.sections == 0 || opts.sections > 4096))
@@ -282,7 +281,6 @@ serviceConfigFromArgs(const Args &args)
     if (args.has("sections") &&
         (cfg.sections == 0 || cfg.sections > 4096))
         fatal("--sections must be in [1, 4096]");
-    cfg.recordTiming = !args.has("no-timing");
     cfg.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     cfg.quarantineFail = parseQuarantineFail(args);
     // The daemon always warms from its store: a persistent cache is
@@ -371,10 +369,13 @@ printCampaign(const core::CampaignResult &r, std::uint64_t bits)
                         static_cast<unsigned long long>(q.faultKey),
                         q.reason.c_str());
     }
-    std::printf("wall clock: %.2fs profile + %.2fs injections "
-                "(%.3f ms/injection)\n",
-                r.profileSeconds, r.injectionSeconds,
-                1e3 * r.secondsPerInjection);
+    // Wall clock is a fact of a live run; a result read back from a
+    // store (or a daemon reply) carries none.
+    if (r.profileSeconds > 0.0)
+        std::printf("wall clock: %.2fs profile + %.2fs injections "
+                    "(%.3f ms/injection)\n",
+                    r.profileSeconds, r.injectionSeconds,
+                    1e3 * r.secondsPerInjection);
 }
 
 void
@@ -382,11 +383,13 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                  const sched::SuiteResult &suite,
                  const sched::SuiteOptions &opts)
 {
-    // New columns go AFTER ee%: downstream consumers (CI's awk among
-    // them) address AVF% as whitespace-separated field 7.
-    std::printf("%-14s %-4s %-13s %10s %10s %10s %8s %6s %6s %6s %s\n",
-                "workload", "tgt", "mode", "initial", "survivors",
-                "injected", "AVF%", "ee%", "skip%", "div%", "");
+    // Every column is a stored outcome, so a cached row prints exactly
+    // like a fresh one.  New columns go AFTER AVF%: downstream
+    // consumers (CI's awk among them) address AVF% as
+    // whitespace-separated field 7.
+    std::printf("%-14s %-4s %-13s %10s %10s %10s %8s %s\n", "workload",
+                "tgt", "mode", "initial", "survivors", "injected",
+                "AVF%", "");
     std::uint64_t cached = 0;
     std::uint64_t selected = 0;
     std::uint64_t sectionsHit = 0;
@@ -413,8 +416,7 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                    "]";
         }
         std::printf(
-            "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %5.1f%% "
-            "%5.1f%% %5.1f%% %s\n",
+            "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %s\n",
             specs[i].workload.c_str(),
             uarch::structureName(specs[i].structure),
             specs[i].mode == sched::CampaignSpec::Mode::GroupingOnly
@@ -425,9 +427,7 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
             static_cast<unsigned long long>(r.initialFaults),
             static_cast<unsigned long long>(r.survivors),
             static_cast<unsigned long long>(r.injections),
-            100 * r.merlinEstimate.avf(), 100 * r.earlyExitRate(),
-            100 * r.replaySkipRate(), 100 * r.replayDivergenceRate(),
-            tag.c_str());
+            100 * r.merlinEstimate.avf(), tag.c_str());
     }
     std::printf("\n%llu campaigns (%llu run, %llu cached) in %.2fs "
                 "with --jobs %u\n",

@@ -94,7 +94,7 @@ sched::SuiteOptions suiteOptionsFromArgs(const Args &args);
 
 /**
  * The daemon-lifetime service knobs from the SAME flag grammar
- * (--jobs/--store/--sections/--no-timing/quarantine).  The daemon
+ * (--jobs/--store/--sections/quarantine).  The daemon
  * always loads its store — a warm cache is its reason to exist.
  */
 sched::CampaignService::Config serviceConfigFromArgs(const Args &args);

@@ -129,10 +129,8 @@ cmdSubmit(const std::string &manifest_path, const Args &args)
             reply.u64Or("sections_hit", 0));
         suite.sectionsMissed[i] = static_cast<std::uint32_t>(
             reply.u64Or("sections_missed", 0));
-        if (!suite.cached[i]) {
+        if (!suite.cached[i])
             ++suite.campaignsRun;
-            suite.injectionsSimulated += suite.results[i].injectionRuns;
-        }
     }
     suite.wallSeconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

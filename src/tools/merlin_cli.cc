@@ -40,7 +40,7 @@
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
  *       [--jobs N] [--out results.json] [--out-dir DIR] [--resume]
- *       [--no-timing] [--sections N]
+ *       [--sections N]
  *       [--select i/n | --select-hash i/n]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
@@ -55,14 +55,13 @@
  *       journal (an append-only fsync'd file beside the shard spill)
  *       with results byte-identical to an uninterrupted run.
  *       --out-dir additionally spills every campaign as a single-entry
- *       shard file DIR/<key>.json for `store merge`.  --no-timing
- *       zeroes wall-clock fields so the results file is byte-identical
- *       across runs.
+ *       shard file DIR/<key>.json for `store merge`.  The results
+ *       file holds outcomes only, so it is byte-identical across runs.
  *       --sections N turns on incremental (partial-hit) caching: each
  *       eligible campaign's golden run is cut into N equal cycle
  *       intervals, per-section outcome slices are stored keyed at
  *       (spec minus swept knobs, currently mem_chunk_bytes) x section
- *       in the merlin-store-v2 shape, and a --resume whose spec
+ *       in the result store, and a --resume whose spec
  *       differs only in a swept knob re-injects ONLY the sections the
  *       store is missing — with the composed result byte-identical to
  *       a cold full run.  The report tags eligible campaigns with
@@ -179,7 +178,7 @@ main(int argc, char **argv)
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
                              "[--out-dir DIR] [--resume] "
-                             "[--no-timing] [--sections N] "
+                             "[--sections N] "
                              "[--select i/n | --select-hash i/n] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "

@@ -3,7 +3,7 @@
  * merlin_serve — the campaign service as a daemon.
  *
  *   merlin_serve --socket /run/merlin.sock [--store results.json]
- *       [--jobs N] [--sections N] [--no-timing]
+ *       [--jobs N] [--sections N]
  *       [--inject-wall-limit SECONDS] [--quarantine=fail|continue]
  *       [--trace trace.json] [--metrics metrics.json]
  *
@@ -457,8 +457,8 @@ main(int argc, char **argv)
         const Args args = Args::parse(argc, argv, 1);
         tools::requireKnownFlags(args,
                                  {"socket", "store", "jobs", "sections",
-                                  "no-timing", "inject-wall-limit",
-                                  "quarantine", "trace", "metrics"},
+                                  "inject-wall-limit", "quarantine",
+                                  "trace", "metrics"},
                                  "merlin_serve");
         return serve(args);
     } catch (const std::exception &e) {

@@ -14,6 +14,7 @@
 
 #include "base/logging.hh"
 #include "base/rng.hh"
+#include "base/threadpool.hh"
 
 #include "faultsim/runner.hh"
 #include "masm/asm.hh"
@@ -292,10 +293,9 @@ TEST(FaultKey, LargeL1dEntriesInjectThroughTheBatchPath)
         f.cycle = g.stats.cycles / 2;
         faults.push_back(f);
     }
-    OutcomeMemo memo(faults.size());
-    const auto outs = runner.injectBatch(faults, g, 2, &memo);
+    const auto outs = runner.injectBatch(faults, g, 2);
     ASSERT_EQ(outs.size(), faults.size());
-    EXPECT_EQ(memo.size(), faults.size());
+    EXPECT_EQ(runner.injectionStats().runs, faults.size());
     for (Outcome o : outs)
         EXPECT_LT(static_cast<unsigned>(o), NUM_OUTCOMES);
 }
@@ -305,21 +305,6 @@ TEST(FaultKey, OverflowTripsTheAssert)
     Fault f;
     f.entry = 1u << 18;
     EXPECT_THROW(faultKey(f), SimAssertError);
-}
-
-TEST(OutcomeMemo, LookupInsertRoundTrip)
-{
-    OutcomeMemo memo(1000);
-    Outcome o = Outcome::Masked;
-    EXPECT_FALSE(memo.lookup(42, o));
-    memo.insert(42, Outcome::SDC);
-    ASSERT_TRUE(memo.lookup(42, o));
-    EXPECT_EQ(o, Outcome::SDC);
-    EXPECT_EQ(memo.size(), 1u);
-    // First insertion wins (outcomes are deterministic anyway).
-    memo.insert(42, Outcome::DUE);
-    ASSERT_TRUE(memo.lookup(42, o));
-    EXPECT_EQ(o, Outcome::SDC);
 }
 
 /** Checkpointed resume must classify exactly like a from-scratch run. */
@@ -670,7 +655,7 @@ TEST(Runner, InjectBatchIsDeterministicAcrossThreadCounts)
         EXPECT_EQ(serial[i], runner.inject(faults[i], g)) << "fault " << i;
 }
 
-TEST(Runner, InjectBatchReusesTheMemo)
+TEST(Runner, InjectBatchSkipsRestoredOutcomes)
 {
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
@@ -685,18 +670,30 @@ TEST(Runner, InjectBatchReusesTheMemo)
         f.entry = static_cast<EntryIndex>(
             rng.nextBelow(cfg.numPhysIntRegs));
         f.bit = static_cast<std::uint8_t>(rng.nextBelow(64));
-        // Distinct cycles guarantee distinct keys for the size checks.
+        // Distinct cycles guarantee distinct keys for the run counts.
         f.cycle = 10 + i * (g.stats.cycles / 16);
         faults.push_back(f);
     }
-    OutcomeMemo memo(faults.size());
-    const auto first = runner.injectBatch(faults, g, 2, &memo);
-    EXPECT_EQ(memo.size(), faults.size());
-    // Second batch over the same faults is answered from the memo and
-    // must agree exactly.
-    const auto second = runner.injectBatch(faults, g, 2, &memo);
-    EXPECT_EQ(first, second);
-    EXPECT_EQ(memo.size(), faults.size());
+    const auto first = runner.injectBatch(faults, g, 2);
+    ASSERT_EQ(runner.injectionStats().runs, faults.size());
+
+    // What a resumed campaign restores from its journal: the first
+    // half's outcomes.  Only the second half may simulate, and the
+    // batch must agree exactly with the uninterrupted one.
+    RestoredOutcomes restored;
+    for (std::size_t i = 0; i < faults.size() / 2; ++i)
+        restored.emplace(faultKey(faults[i]), first[i]);
+    const BatchPlan plan = runner.planBatch(faults, &restored);
+    EXPECT_EQ(plan.work.size(), faults.size() - restored.size());
+    for (std::uint32_t i : plan.work)
+        EXPECT_GE(i, faults.size() / 2);
+
+    base::ThreadPool pool(2);
+    base::TaskGroup group(pool);
+    const auto resumed = runner.injectBatch(faults, g, group, &restored);
+    EXPECT_EQ(first, resumed);
+    EXPECT_EQ(runner.injectionStats().runs,
+              faults.size() + (faults.size() - restored.size()));
 }
 
 TEST(Runner, WindowedRunsUseUnknownCategory)

@@ -20,6 +20,7 @@
 #include "io/journal.hh"
 #include "io/json.hh"
 #include "io/result_store.hh"
+#include "sched/suite.hh"
 
 namespace merlin::io
 {
@@ -242,9 +243,6 @@ sampleResult(bool with_truth)
     r.merlinSurvivorEstimate.add(Outcome::SDC, 2000);
     r.speedupAce = 12.0;
     r.speedupTotal = 193.5;
-    r.profileSeconds = 1.25;
-    r.injectionSeconds = 9.75;
-    r.secondsPerInjection = 0.03145;
     if (with_truth) {
         core::ClassCounts truth;
         truth.add(Outcome::Masked, 2900);
@@ -301,9 +299,6 @@ expectSameResult(const CampaignResult &a, const CampaignResult &b)
     }
     EXPECT_DOUBLE_EQ(a.speedupAce, b.speedupAce);
     EXPECT_DOUBLE_EQ(a.speedupTotal, b.speedupTotal);
-    EXPECT_DOUBLE_EQ(a.profileSeconds, b.profileSeconds);
-    EXPECT_DOUBLE_EQ(a.injectionSeconds, b.injectionSeconds);
-    EXPECT_DOUBLE_EQ(a.secondsPerInjection, b.secondsPerInjection);
 }
 
 TEST(ResultJson, RoundTripWithoutOptionals)
@@ -321,6 +316,37 @@ TEST(ResultJson, RoundTripWithTruthAndHomogeneity)
     const CampaignResult r = sampleResult(true);
     expectSameResult(
         r, resultFromJson(Json::parse(resultToJson(r).dump())));
+}
+
+TEST(ResultJson, EngineTelemetryIsNotPersisted)
+{
+    // Wall clock and engine counters describe one execution, not the
+    // answer: they must not reach the serialized result, and a result
+    // read back carries them as zero.
+    CampaignResult r = sampleResult(true);
+    r.injectionRuns = 300;
+    r.earlyExits = 40;
+    r.replayMasked = 120;
+    r.replayHandoffs = 180;
+    r.replayCyclesSkipped = 9000;
+    r.replayHeadCycles = 12000;
+    r.profileSeconds = 1.25;
+    r.injectionSeconds = 9.75;
+    r.secondsPerInjection = 0.03145;
+    const Json j = resultToJson(r);
+    EXPECT_EQ(j.dump(), resultToJson(sampleResult(true)).dump());
+    for (const char *field :
+         {"injection_runs", "early_exits", "replay_masked",
+          "replay_handoffs", "replay_cycles_skipped", "replay_head_cycles",
+          "profile_seconds", "injection_seconds", "seconds_per_injection"})
+        EXPECT_FALSE(j.find(field)) << field;
+    const CampaignResult back = resultFromJson(j);
+    expectSameResult(r, back);
+    EXPECT_EQ(back.injectionRuns, 0u);
+    EXPECT_EQ(back.earlyExits, 0u);
+    EXPECT_EQ(back.replayMasked + back.replayHandoffs, 0u);
+    EXPECT_EQ(back.profileSeconds, 0.0);
+    EXPECT_EQ(back.injectionSeconds, 0.0);
 }
 
 TEST(ResultJson, MalformedResultThrows)
@@ -402,7 +428,7 @@ TEST_F(StoreFixture, MissingFileLoadsAsFresh)
 TEST_F(StoreFixture, MalformedFileIsFatalNotSilent)
 {
     const std::string p = track(path("corrupt"));
-    std::ofstream(p) << "{\"format\":\"merlin-results-v1\","
+    std::ofstream(p) << "{\"format\":\"merlin-store-v3\","
                         "\"campaigns\":{\"k\":{}}}";
     ResultStore store(p);
     EXPECT_THROW(store.load(), FatalError);
@@ -429,7 +455,7 @@ TEST_F(StoreFixture, TruncatedStoresAreDiagnosedByName)
     std::ofstream(p) << "   \n\t"; // whitespace-only counts as empty
     EXPECT_THROW(store.load(), FatalError);
     // A valid prefix cut mid-write: unparseable, with the path named.
-    std::ofstream(p) << "{\"format\":\"merlin-results-v1\",\"campa";
+    std::ofstream(p) << "{\"format\":\"merlin-store-v3\",\"campa";
     try {
         store.load();
         FAIL() << "truncated store loaded";
@@ -618,7 +644,7 @@ TEST(ResultJson, UnrecognizedQuarantineRecordsAreSkippedNotFatal)
     expectSameResult(r, back);
 }
 
-// ------------------------------------------- section tables (v2)
+// ------------------------------------------------- section tables
 
 /** A distinguishable SectionData for section index @p idx. */
 core::SectionData
@@ -627,12 +653,6 @@ sampleSection(unsigned idx, bool with_quarantine = false)
     core::SectionData s;
     s.estimate.add(Outcome::Masked, 100 + idx);
     s.estimate.add(Outcome::SDC, 10 * idx);
-    s.injectionRuns = 5 + idx;
-    s.earlyExits = idx;
-    s.replayMasked = 2 * idx;
-    s.replayHandoffs = 7 + idx;
-    s.replayCyclesSkipped = 1000 + idx;
-    s.replayHeadCycles = 2000 + idx;
     if (with_quarantine)
         s.quarantine.push_back({0xbeef + idx, "wall clock"});
     return s;
@@ -642,12 +662,6 @@ void
 expectSameSection(const core::SectionData &a, const core::SectionData &b)
 {
     EXPECT_EQ(a.estimate.counts, b.estimate.counts);
-    EXPECT_EQ(a.injectionRuns, b.injectionRuns);
-    EXPECT_EQ(a.earlyExits, b.earlyExits);
-    EXPECT_EQ(a.replayMasked, b.replayMasked);
-    EXPECT_EQ(a.replayHandoffs, b.replayHandoffs);
-    EXPECT_EQ(a.replayCyclesSkipped, b.replayCyclesSkipped);
-    EXPECT_EQ(a.replayHeadCycles, b.replayHeadCycles);
     ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
     for (std::size_t i = 0; i < a.quarantine.size(); ++i)
         EXPECT_TRUE(a.quarantine[i] == b.quarantine[i]);
@@ -702,40 +716,73 @@ TEST_F(StoreFixture, SectionSerializationIsIndependentOfInsertionOrder)
 
 TEST_F(StoreFixture, SectionlessStoresCarryNoSectionsMember)
 {
-    // The v2 member is emitted only when tables exist, so a suite run
-    // without --sections writes the same campaign-only shape as v1
-    // (modulo the format tag).
+    // The member is emitted only when tables exist, so a suite run
+    // without --sections writes a campaign-only store.
     ResultStore store;
     store.put("k", Json::object(), sampleResult(false));
     EXPECT_FALSE(store.toJson().find("sections"));
-    EXPECT_EQ(store.toJson().strOr("format", ""), "merlin-store-v2");
+    EXPECT_EQ(store.toJson().strOr("format", ""), "merlin-store-v3");
 }
 
-TEST_F(StoreFixture, LegacyV1TagLoadsAndResavesAsV2)
+TEST_F(StoreFixture, RetiredFormatsAreRefusedByName)
 {
-    const std::string p = track(path("v1_upgrade"));
+    // Older stores carried wall clock and engine counters.  They are
+    // recomputable caches, so the load refuses them by name and says
+    // what to do, instead of reading them through a second schema.
+    const std::string p = track(path("retired"));
     {
         ResultStore store(p);
         store.put("k1", Json::object(), sampleResult(true));
         store.save();
     }
-    // Rewrite the file as a v1-era store: old tag, no sections.
-    std::string text = storeText(p);
-    const std::size_t at = text.find("merlin-store-v2");
+    const std::string text = storeText(p);
+    const std::size_t at = text.find("merlin-store-v3");
     ASSERT_NE(at, std::string::npos);
-    text.replace(at, std::strlen("merlin-store-v2"), "merlin-results-v1");
-    std::ofstream(p, std::ios::trunc) << text;
+    for (const char *retired : {"merlin-store-v2", "merlin-results-v1"}) {
+        std::string old = text;
+        old.replace(at, std::strlen("merlin-store-v3"), retired);
+        std::ofstream(p, std::ios::trunc) << old;
+        ResultStore loaded(p);
+        try {
+            loaded.load();
+            FAIL() << retired << " store loaded";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(retired), std::string::npos) << msg;
+            EXPECT_NE(msg.find("delete it and re-run"), std::string::npos)
+                << msg;
+        }
+        EXPECT_EQ(loaded.size(), 0u);
+    }
+}
 
-    ResultStore loaded(p);
-    ASSERT_TRUE(loaded.load());
-    EXPECT_EQ(loaded.size(), 1u);
-    CampaignResult out;
-    ASSERT_TRUE(loaded.lookup("k1", out));
-    expectSameResult(sampleResult(true), out);
-    // Saving writes the current format; a reload round-trips.
-    loaded.save();
-    EXPECT_NE(storeText(p).find("merlin-store-v2"), std::string::npos);
-    ASSERT_TRUE(loaded.load());
+/**
+ * The merge regression: two independently produced stores of the same
+ * spec, from default suite runs, must merge as identical entries.  A
+ * store that carried wall clock would conflict here.
+ */
+TEST_F(StoreFixture, IndependentRunsOfOneSpecMergeAsIdentical)
+{
+    sched::CampaignSpec spec;
+    spec.workload = "qsort";
+    spec.sampling = core::specFixed(120);
+    std::string files[2];
+    for (unsigned run = 0; run < 2; ++run) {
+        sched::SuiteOptions opts;
+        opts.jobs = 1 + run;
+        opts.storePath = files[run] =
+            track(path(run == 0 ? "indep_a" : "indep_b"));
+        track(files[run] + ".journal");
+        sched::SuiteScheduler({spec}, opts).run();
+    }
+    EXPECT_EQ(storeText(files[0]), storeText(files[1]));
+
+    ResultStore merged(files[0]);
+    ASSERT_TRUE(merged.load());
+    const auto stats = mergeStoreFiles(merged, {files[1]});
+    EXPECT_EQ(stats.identical, 1u);
+    EXPECT_EQ(stats.replaced, 0u);
+    EXPECT_EQ(stats.added, 0u);
 }
 
 TEST_F(StoreFixture, MergeFoldsSectionTables)
@@ -879,8 +926,10 @@ TEST_F(JournalFixture, AppendRestoreRoundTrip)
 {
     const std::string p = journalPath("roundtrip");
     faultsim::InjectDetail plain;
-    faultsim::InjectDetail early;
+    faultsim::InjectDetail early; // engine facts are not journalled
     early.earlyExit = true;
+    early.replay = faultsim::ReplayAction::Handoff;
+    early.replayCyclesSkipped = 40;
     faultsim::InjectDetail sick;
     sick.quarantined = true;
     sick.reason = "simulator exception: boom";
@@ -896,11 +945,14 @@ TEST_F(JournalFixture, AppendRestoreRoundTrip)
         j.append(3, faultsim::Outcome::Crash, sick);
         j.close();
     }
+    // Outcomes only: [key, outcome], plus the reason when quarantined.
+    EXPECT_EQ(storeText(p),
+              "{\"format\":\"merlin-journal-v2\",\"spec\":\"spec-a\"}\n"
+              "[1,0]\n[2,1]\n[3,4,\"simulator exception: boom\"]\n");
     OutcomeJournal j(p, "spec-a");
     std::map<std::uint64_t, faultsim::Outcome> seen;
     const auto r = restoreAll(j, seen);
     EXPECT_EQ(r.runs, 3u);
-    EXPECT_EQ(r.earlyExits, 1u);
     ASSERT_EQ(r.quarantine.size(), 1u);
     EXPECT_EQ(r.quarantine[0].faultKey, 3u);
     EXPECT_EQ(r.quarantine[0].reason, sick.reason);
@@ -966,21 +1018,29 @@ TEST_F(JournalFixture, TornHeaderStartsTheCampaignOver)
     EXPECT_EQ(seen[9], faultsim::Outcome::Timeout);
 }
 
-TEST_F(JournalFixture, CompleteGarbageLineIsFatal)
+TEST_F(JournalFixture, UnreadableCompleteLinesAreFatal)
 {
+    // Every input ends in a newline, so none is a mid-append crash
+    // artifact: each is real corruption or a format this build does
+    // not read.
+    const std::string v2 =
+        "{\"format\":\"merlin-journal-v2\",\"spec\":\"spec-a\"}\n";
+    const std::string v1 =
+        "{\"format\":\"merlin-journal-v1\",\"spec\":\"spec-a\"}\n";
+    const std::pair<const char *, std::string> inputs[] = {
+        {"garbage line", v2 + "not json\n"},
+        {"outcome class a newer build added", v2 + "[1, 250]\n"},
+        {"retired six-element entry", v2 + "[1, 0, 1, 2, 40, 60]\n"},
+        {"retired v1 journal", v1 + "[1, 0, 1, 2, 40, 60]\n"},
+    };
     const std::string p = journalPath("corrupt");
-    {
+    for (const auto &[what, text] : inputs) {
+        std::ofstream(p, std::ios::trunc | std::ios::binary) << text;
         OutcomeJournal j(p, "spec-a");
-        j.open();
-        j.close();
+        EXPECT_THROW(j.restore([](std::uint64_t, faultsim::Outcome) {}),
+                     FatalError)
+            << what;
     }
-    {
-        std::ofstream app(p, std::ios::app | std::ios::binary);
-        app << "not json\n"; // complete line => not a crash artifact
-    }
-    OutcomeJournal j(p, "spec-a");
-    EXPECT_THROW(j.restore([](std::uint64_t, faultsim::Outcome) {}),
-                 FatalError);
 }
 
 TEST_F(JournalFixture, SpecMismatchIsFatal)
@@ -993,23 +1053,6 @@ TEST_F(JournalFixture, SpecMismatchIsFatal)
         j.close();
     }
     OutcomeJournal j(p, "spec-b");
-    EXPECT_THROW(j.restore([](std::uint64_t, faultsim::Outcome) {}),
-                 FatalError);
-}
-
-TEST_F(JournalFixture, OutcomeBeyondThisBuildIsFatal)
-{
-    const std::string p = journalPath("newer");
-    {
-        OutcomeJournal j(p, "spec-a");
-        j.open();
-        j.close();
-    }
-    {
-        std::ofstream app(p, std::ios::app | std::ios::binary);
-        app << "[1, 250, 0]\n"; // outcome class a newer build added
-    }
-    OutcomeJournal j(p, "spec-a");
     EXPECT_THROW(j.restore([](std::uint64_t, faultsim::Outcome) {}),
                  FatalError);
 }

@@ -324,8 +324,6 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
     ASSERT_GE(specs.size(), 4u);
 
     SuiteOptions opts;
-    opts.recordTiming = false; // wall clock is the one impure field
-
     opts.jobs = 1;
     opts.storePath = storePath("j1");
     SuiteScheduler(specs, opts).run();
@@ -351,9 +349,8 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
  * Engine-knob invariance at suite level: early-exit on/off and any
  * COW chunk granularity must leave every campaign OUTCOME bit-
  * identical, for jobs 1 and 4.  (Whole-store comparison is the wrong
- * tool here: the knobs are part of the spec, so keys and the recorded
- * early-exit counters legitimately differ — the claim is about the
- * fault classifications.)
+ * tool here: the knobs are part of the spec, so the keys legitimately
+ * differ — the claim is about the fault classifications.)
  */
 TEST_F(SuiteFixture, OutcomesInvariantToEarlyExitAndChunkSize)
 {
@@ -390,7 +387,6 @@ TEST_F(SuiteFixture, OutcomesInvariantToEarlyExitAndChunkSize)
                               unsigned jobs) {
         SuiteOptions opts;
         opts.jobs = jobs;
-        opts.recordTiming = false;
         return SuiteScheduler(std::move(specs), opts).run();
     };
 
@@ -444,12 +440,13 @@ TEST_F(SuiteFixture, OutcomesInvariantToEarlyExitAndChunkSize)
  * Replay-knob invariance, the acceptance grid for the golden-trace
  * fast path: replay {on,off} x early-exit {on,off} x jobs {1,4}.
  * Per knob config the serialized store must be byte-identical across
- * job counts; across knob configs every campaign OUTCOME (and the
- * injection-run count) must match.  earlyExits is NOT compared across
- * replay variants: a dead flip that full simulation would early-exit
- * is classified Masked by the replay shortcut without ever reaching a
- * reconvergence checkpoint, so the counter legitimately differs —
- * which is exactly why replay is a spec member.
+ * job counts; across knob configs every serialized campaign result
+ * must be byte-identical too (the store holds outcomes only), and the
+ * in-memory injection-run count must match.  earlyExits is NOT
+ * compared across replay variants: a dead flip that full simulation
+ * would early-exit is classified Masked by the replay shortcut without
+ * ever reaching a reconvergence checkpoint, so the counter
+ * legitimately differs — which is why it stays out of the store.
  */
 TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
 {
@@ -508,7 +505,6 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
             sp.earlyExit = cfg.earlyExit;
         }
         SuiteOptions opts;
-        opts.recordTiming = false;
         opts.jobs = 1;
         opts.storePath =
             storePath((std::string(cfg.name) + "_j1").c_str());
@@ -531,6 +527,9 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
         for (std::size_t i = 0; i < base.size(); ++i) {
             const auto &a = ref.results[i];
             const auto &b = results[c].results[i];
+            EXPECT_EQ(io::resultToJson(a).dump(),
+                      io::resultToJson(b).dump())
+                << configs[c].name << " campaign " << i;
             EXPECT_EQ(a.merlinEstimate.counts, b.merlinEstimate.counts)
                 << configs[c].name << " campaign " << i;
             EXPECT_EQ(a.merlinSurvivorEstimate.counts,
@@ -670,7 +669,6 @@ TEST_F(SuiteFixture, ColdSectionedRunComposesTheUnsectionedResults)
     const auto specs = testSpecs();
     SuiteOptions opts;
     opts.jobs = 2;
-    opts.recordTiming = false;
     opts.storePath = storePath("sec_off");
     SuiteScheduler(specs, opts).run();
 
@@ -682,7 +680,7 @@ TEST_F(SuiteFixture, ColdSectionedRunComposesTheUnsectionedResults)
     ASSERT_TRUE(off.load());
     ASSERT_TRUE(on.load());
     // Campaign entries byte-identical; only the sectioned store grows
-    // the v2 tables (one per eligible spec).
+    // section tables (one per eligible spec).
     EXPECT_EQ(off.toJson().at("campaigns").dump(2),
               on.toJson().at("campaigns").dump(2));
     EXPECT_EQ(off.sectionTables().size(), 0u);
@@ -700,15 +698,15 @@ TEST_F(SuiteFixture, ColdSectionedRunComposesTheUnsectionedResults)
 
 /**
  * A whole-campaign cache hit under --sections counts as an
- * all-sections hit — which is exactly how a legacy v1 store (no
- * section tables at all) is promoted into the sectioned accounting.
+ * all-sections hit — which is how a store written without --sections
+ * (no section tables at all) is promoted into the sectioned
+ * accounting.
  */
 TEST_F(SuiteFixture, FullEntryHitPromotesToAllSectionsHit)
 {
     const auto specs = testSpecs();
     SuiteOptions opts;
     opts.jobs = 2;
-    opts.recordTiming = false;
     opts.reuseCached = true;
     opts.storePath = storePath("promote");
     SuiteScheduler(specs, opts).run(); // unsectioned: no tables
@@ -744,7 +742,6 @@ TEST_F(SuiteFixture, PartialSectionHitsComposeByteIdenticalStores)
                                      "_s" + std::to_string(S);
             SuiteOptions opts;
             opts.jobs = jobs;
-            opts.recordTiming = false;
             opts.sections = S;
             opts.storePath = storePath(name.c_str());
 
@@ -786,8 +783,6 @@ TEST_F(SuiteFixture, PartialSectionHitsComposeByteIdenticalStores)
                 EXPECT_EQ(warm.results[i].merlinEstimate.counts,
                           cold.results[i].merlinEstimate.counts)
                     << name << " campaign " << i;
-                EXPECT_EQ(warm.results[i].injectionRuns,
-                          cold.results[i].injectionRuns);
             }
             // Strictly fewer injections when any section was served
             // (S == 1 degenerates to a full re-run)...
@@ -811,7 +806,6 @@ TEST_F(SuiteFixture, MismatchedGoldenRunFailsTheSectionedResume)
     const auto specs = sectionSpecs();
     SuiteOptions opts;
     opts.jobs = 2;
-    opts.recordTiming = false;
     opts.sections = 4;
     opts.storePath = storePath("golden_mismatch");
     SuiteScheduler(specs, opts).run();

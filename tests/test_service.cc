@@ -43,7 +43,6 @@ memoryConfig(unsigned jobs, bool paused)
 {
     CampaignService::Config cfg;
     cfg.jobs = jobs;
-    cfg.recordTiming = false;
     cfg.startPaused = paused;
     return cfg;
 }
@@ -223,7 +222,6 @@ TEST(CampaignService, BatchWrapperMatchesDirectServiceSubmissions)
 
     SuiteOptions sopts;
     sopts.jobs = 2;
-    sopts.recordTiming = false;
     SuiteResult batch = SuiteScheduler(specs, sopts).run();
 
     CampaignService svc(memoryConfig(2, /*paused=*/false));
