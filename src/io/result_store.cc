@@ -13,7 +13,6 @@
 #endif
 
 #include "base/logging.hh"
-#include "base/parse.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -29,12 +28,13 @@ using core::HomogeneityReport;
 namespace
 {
 
-// Written format.  v3 stores keep outcomes only; the older tags
-// below also carried wall clock and engine counters, and are refused
+// Written format.  v4 keys and specs leave the engine knobs out; v3
+// keys hashed them too (so every v3 lookup would miss), and the older
+// tags also carried wall clock and engine counters.  All are refused
 // by name rather than read through a second schema path.
-constexpr const char *kFormatTag = "merlin-store-v3";
-constexpr const char *kRetiredFormatTags[] = {"merlin-store-v2",
-                                              "merlin-results-v1"};
+constexpr const char *kFormatTag = "merlin-store-v4";
+constexpr const char *kRetiredFormatTags[] = {
+    "merlin-store-v3", "merlin-store-v2", "merlin-results-v1"};
 
 Json
 classCountsToJson(const ClassCounts &c)
@@ -222,26 +222,6 @@ resultFromJson(const Json &j, std::size_t *skipped_quarantine)
     return r;
 }
 
-Json
-sectionDataToJson(const core::SectionData &s)
-{
-    Json j = Json::object();
-    j.set("estimate", classCountsToJson(s.estimate));
-    if (!s.quarantine.empty())
-        j.set("quarantine", quarantineToJson(s.quarantine));
-    return j;
-}
-
-core::SectionData
-sectionDataFromJson(const Json &j, std::size_t *skipped_quarantine)
-{
-    core::SectionData s;
-    s.estimate = classCountsFromJson(j.at("estimate"));
-    if (const Json *q = j.find("quarantine"))
-        quarantineFromJson(*q, s.quarantine, skipped_quarantine);
-    return s;
-}
-
 // ---------------------------------------------------------- ResultStore
 
 ResultStore::ResultStore(std::string path) : path_(std::move(path)) {}
@@ -291,13 +271,13 @@ ResultStore::load()
         if (format == retired)
             fatal("result store '", path_, "' is ", retired,
                   ", which this build no longer reads (", kFormatTag,
-                  " stores outcomes only); stores are recomputable "
-                  "caches — delete it and re-run the suite");
+                  " keys campaigns on outcome-determining members "
+                  "only); stores are recomputable caches — delete it "
+                  "and re-run the suite");
     }
     if (format != kFormatTag)
         fatal("result store '", path_, "': unknown format");
     entries_.clear();
-    sections_.clear();
     selection_.reset();
     if (const Json *sel = doc.find("selection"))
         selection_ = *sel;
@@ -310,19 +290,6 @@ ResultStore::load()
         // not the lookup that happens to hit it mid-suite.
         resultFromJson(entry.at("result"), &skipped);
         entries_[key] = Entry{entry.at("spec"), entry.at("result")};
-    }
-    if (const Json *secs = doc.find("sections")) {
-        for (const auto &[key, tbl] : secs->members()) {
-            SectionTable table;
-            table.spec = tbl.at("spec");
-            table.goldenCycles = tbl.at("golden_cycles").asU64();
-            for (const auto &[idx, data] : tbl.at("entries").members()) {
-                sectionDataFromJson(data, &skipped); // eager validation
-                table.entries[base::parseU32(
-                    idx, "result store section index")] = data;
-            }
-            sections_[key] = std::move(table);
-        }
     }
     if (skipped > 0)
         warn("result store '", path_, "': skipped ", skipped,
@@ -346,24 +313,6 @@ ResultStore::toJson() const
     if (selection_)
         doc.set("selection", *selection_);
     doc.set("campaigns", campaigns);
-    if (!sections_.empty()) {
-        // Only when non-empty, so unsectioned stores keep their
-        // pre-section bytes (modulo the format tag).  Table keys sort
-        // lexically, entry keys numerically — both pure functions of
-        // the contents.
-        Json secs = Json::object();
-        for (const auto &[key, table] : sections_) {
-            Json t = Json::object();
-            t.set("spec", table.spec);
-            t.set("golden_cycles", table.goldenCycles);
-            Json entries = Json::object();
-            for (const auto &[idx, data] : table.entries)
-                entries.set(std::to_string(idx), data);
-            t.set("entries", entries);
-            secs.set(key, t);
-        }
-        doc.set("sections", secs);
-    }
     return doc;
 }
 
@@ -440,46 +389,6 @@ ResultStore::erase(const std::string &key)
     return entries_.erase(key) != 0;
 }
 
-ResultStore::SectionLookup
-ResultStore::lookupSections(const std::string &key) const
-{
-    SectionLookup out;
-    auto it = sections_.find(key);
-    if (it == sections_.end())
-        return out;
-    out.found = true;
-    out.goldenCycles = it->second.goldenCycles;
-    std::size_t skipped = 0; // load() already warned once
-    for (const auto &[idx, data] : it->second.entries)
-        out.sections[idx] = sectionDataFromJson(data, &skipped);
-    return out;
-}
-
-void
-ResultStore::putSections(const std::string &key, Json spec,
-                         std::uint64_t golden_cycles,
-                         const std::vector<core::SectionData> &table)
-{
-    SectionTable t;
-    t.spec = std::move(spec);
-    t.goldenCycles = golden_cycles;
-    for (std::size_t i = 0; i < table.size(); ++i)
-        t.entries[static_cast<unsigned>(i)] = sectionDataToJson(table[i]);
-    sections_[key] = std::move(t);
-}
-
-void
-ResultStore::putSectionTable(const std::string &key, SectionTable table)
-{
-    sections_[key] = std::move(table);
-}
-
-bool
-ResultStore::eraseSections(const std::string &key)
-{
-    return sections_.erase(key) != 0;
-}
-
 ResultStore::MergeStats
 ResultStore::merge(const ResultStore &other, bool force_theirs)
 {
@@ -507,45 +416,6 @@ ResultStore::merge(const ResultStore &other, bool force_theirs)
                   "merge with --force-theirs");
         it->second = theirs;
         ++stats.replaced;
-    }
-    // Section tables fold per key and per section index under the
-    // same bit-identity rule: sections are deterministic slices of
-    // deterministic campaigns, so two stores disagreeing on a slice's
-    // bytes means one of them is corrupt.
-    for (const auto &[key, theirs] : other.sections_) {
-        auto it = sections_.find(key);
-        if (it == sections_.end()) {
-            stats.sectionEntriesAdded += theirs.entries.size();
-            sections_[key] = theirs;
-            continue;
-        }
-        SectionTable &ours = it->second;
-        if (ours.spec.dump() != theirs.spec.dump() ||
-            ours.goldenCycles != theirs.goldenCycles) {
-            if (!force_theirs)
-                fatal("result store merge: section table '", key,
-                      "' has conflicting spec/golden-cycle payloads; "
-                      "re-run one side or merge with --force-theirs");
-            stats.sectionEntriesAdded += theirs.entries.size();
-            ours = theirs;
-            continue;
-        }
-        for (const auto &[idx, data] : theirs.entries) {
-            auto eit = ours.entries.find(idx);
-            if (eit == ours.entries.end()) {
-                ours.entries[idx] = data;
-                ++stats.sectionEntriesAdded;
-                continue;
-            }
-            if (eit->second.dump() == data.dump())
-                continue;
-            if (!force_theirs)
-                fatal("result store merge: section ", idx,
-                      " of table '", key,
-                      "' has conflicting payloads; re-run one side "
-                      "or merge with --force-theirs");
-            eit->second = data;
-        }
     }
     return stats;
 }

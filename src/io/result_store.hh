@@ -3,8 +3,11 @@
  * Persistent campaign-result store.
  *
  * Serializes every CampaignResult of a suite run to one JSON file,
- * keyed by a content hash of the producing CampaignSpec.  Suite runs
- * get three things from it:
+ * keyed by a content hash of the producing CampaignSpec's
+ * outcome-determining members (CampaignSpec::keyJson, which is also
+ * the spec an entry records: engine knobs such as early_exit or
+ * mem_chunk_bytes are in neither).  Suite runs get three things from
+ * it:
  *
  *   --out results.json   the suite's deliverable (all class counts,
  *                        group models and homogeneity, one entry per
@@ -25,12 +28,12 @@
  * byte-identical across runs, job counts and completion orders, with
  * no flag needed.
  *
- * Stores are written in the merlin-store-v3 shape: "campaigns" plus
- * an optional "sections" member of section-keyed tables (reduced spec
- * x golden-run section) that let the suite scheduler serve PARTIAL
- * hits — re-running only the sections a knob change actually misses.
- * Older merlin-store-v2 and merlin-results-v1 files are refused by
- * name: a store is a recomputable cache, so delete it and re-run.
+ * Stores are written in the merlin-store-v4 shape: a "campaigns"
+ * object plus an optional worker "selection".  Older files are refused
+ * by name: merlin-store-v3 keys hashed the engine knobs too, so every
+ * lookup would silently miss, and merlin-store-v2 / merlin-results-v1
+ * also carried wall clock and engine counters.  A store is a
+ * recomputable cache, so delete it and re-run.
  *
  * Not internally synchronized: concurrent writers must serialize
  * access (the suite scheduler holds one mutex across put()+save()).
@@ -68,14 +71,6 @@ core::CampaignResult
 resultFromJson(const Json &j,
                std::size_t *skipped_quarantine = nullptr);
 
-/** SectionData -> JSON (one section-store table entry). */
-Json sectionDataToJson(const core::SectionData &s);
-
-/** Inverse of sectionDataToJson (same quarantine-skip contract). */
-core::SectionData
-sectionDataFromJson(const Json &j,
-                    std::size_t *skipped_quarantine = nullptr);
-
 class ResultStore
 {
   public:
@@ -86,37 +81,12 @@ class ResultStore
         Json result;
     };
 
-    /**
-     * One section-keyed table: the
-     * per-section slices of every campaign sharing one reduced spec —
-     * the spec minus the swept knobs, plus the section count.  Tables
-     * are always written COMPLETE (one entry per section index, empty
-     * sections included) and pin the golden-run length they were cut
-     * from, so a reader can verify the sectioning still lines up
-     * before serving partial hits.
-     */
-    struct SectionTable
-    {
-        Json spec; ///< the reduced spec the table key hashes
-        std::uint64_t goldenCycles = 0;
-        std::map<unsigned, Json> entries; ///< section index -> data
-    };
-
-    /** A lookupSections() answer: the decoded table, if any. */
-    struct SectionLookup
-    {
-        bool found = false;
-        std::uint64_t goldenCycles = 0;
-        std::map<unsigned, core::SectionData> sections;
-    };
-
     /** What a merge() did, for reporting. */
     struct MergeStats
     {
         std::size_t added = 0;     ///< keys new to this store
         std::size_t identical = 0; ///< keys present with identical payload
         std::size_t replaced = 0;  ///< conflicts resolved force-theirs
-        std::size_t sectionEntriesAdded = 0; ///< new section slices
     };
 
     /** @p path may be empty for a memory-only store (no load/save IO). */
@@ -129,8 +99,8 @@ class ResultStore
      * Read the store file.  @return false when the file is absent (a
      * fresh store); throws FatalError when present but malformed —
      * silently dropping a corrupt store would re-run every campaign —
-     * or written in a retired format (merlin-store-v2,
-     * merlin-results-v1).
+     * or written in a retired format (merlin-store-v3,
+     * merlin-store-v2, merlin-results-v1).
      */
     bool load();
 
@@ -151,32 +121,6 @@ class ResultStore
 
     /** Remove the entry for @p key.  @return true if it existed. */
     bool erase(const std::string &key);
-
-    /** Decode the section table stored under @p key (found == false
-     *  when the store has none). */
-    SectionLookup lookupSections(const std::string &key) const;
-
-    /**
-     * Insert or replace the COMPLETE section table for @p key:
-     * @p table must carry one SectionData per section (index = vector
-     * position), @p spec the reduced spec the key hashes, and
-     * @p golden_cycles the golden-run length the sections cut up.
-     */
-    void putSections(const std::string &key, Json spec,
-                     std::uint64_t golden_cycles,
-                     const std::vector<core::SectionData> &table);
-
-    /** Copy one raw table in (shard spill / merge plumbing). */
-    void putSectionTable(const std::string &key, SectionTable table);
-
-    /** Remove the section table for @p key.  @return true if present. */
-    bool eraseSections(const std::string &key);
-
-    /** All section tables, sorted by reduced key. */
-    const std::map<std::string, SectionTable> &sectionTables() const
-    {
-        return sections_;
-    }
 
     /**
      * Which suite selection produced this store, for distributed
@@ -216,7 +160,6 @@ class ResultStore
   private:
     std::string path_;
     std::map<std::string, Entry> entries_; ///< sorted => stable dumps
-    std::map<std::string, SectionTable> sections_; ///< section tables
     std::optional<Json> selection_;        ///< worker share, if any
 };
 

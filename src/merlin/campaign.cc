@@ -47,87 +47,6 @@ CampaignResult::merlinFit(std::uint64_t bits, double raw_fit_per_bit) const
     return fitRate(merlinEstimate.avf(), bits, raw_fit_per_bit);
 }
 
-// ------------------------------------------------- sectioned campaigns
-
-void
-SectionData::addRun(std::uint64_t fault_key,
-                    const faultsim::InjectDetail &detail)
-{
-    if (detail.quarantined)
-        quarantine.push_back(
-            faultsim::QuarantineRecord{fault_key, detail.reason});
-}
-
-unsigned
-sectionOfCycle(Cycle cycle, Cycle golden_cycles, unsigned sections)
-{
-    MERLIN_ASSERT(sections > 0 && golden_cycles > 0,
-                  "sectionOfCycle on an unsectionable campaign");
-    // cycle < 2^40 (the faultKey packing bound) and sections is a
-    // small CLI knob, so the product stays well inside 64 bits.
-    const std::uint64_t s = cycle * static_cast<std::uint64_t>(sections) /
-                            golden_cycles;
-    return static_cast<unsigned>(
-        std::min<std::uint64_t>(s, sections - 1));
-}
-
-bool
-sectionable(const PreparedCampaign &prep)
-{
-    if (prep.groupingOnly || prep.injectAll ||
-        prep.result.goldenCycles == 0)
-        return false;
-    for (const FaultGroup &g : prep.grouping.groups) {
-        if (g.representatives.size() != 1)
-            return false;
-    }
-    return true;
-}
-
-std::vector<unsigned>
-groupSections(const PreparedCampaign &prep, unsigned sections)
-{
-    MERLIN_ASSERT(sectionable(prep), "campaign is not sectionable");
-    // One representative per group means prep.faults[g] is exactly
-    // group g's representative (prepare() pushes them in group order).
-    MERLIN_ASSERT(prep.faults.size() == prep.grouping.groups.size(),
-                  "representative/group mismatch");
-    std::vector<unsigned> out;
-    out.reserve(prep.faults.size());
-    for (const faultsim::Fault &f : prep.faults)
-        out.push_back(sectionOfCycle(f.cycle, prep.result.goldenCycles,
-                                     sections));
-    return out;
-}
-
-CampaignResult
-composeSectioned(PreparedCampaign prep, std::vector<SectionData> &table)
-{
-    CampaignResult res = std::move(prep.result);
-    for (SectionData &s : table) {
-        for (std::size_t c = 0; c < s.estimate.counts.size(); ++c)
-            res.merlinSurvivorEstimate.counts[c] += s.estimate.counts[c];
-        std::sort(s.quarantine.begin(), s.quarantine.end(),
-                  [](const faultsim::QuarantineRecord &a,
-                     const faultsim::QuarantineRecord &b) {
-                      return a.faultKey != b.faultKey
-                                 ? a.faultKey < b.faultKey
-                                 : a.reason < b.reason;
-                  });
-        res.quarantine.insert(res.quarantine.end(), s.quarantine.begin(),
-                              s.quarantine.end());
-    }
-    res.merlinEstimate = res.merlinSurvivorEstimate;
-    res.merlinEstimate.add(Outcome::Masked, res.aceMasked);
-    std::sort(res.quarantine.begin(), res.quarantine.end(),
-              [](const faultsim::QuarantineRecord &a,
-                 const faultsim::QuarantineRecord &b) {
-                  return a.faultKey != b.faultKey ? a.faultKey < b.faultKey
-                                                  : a.reason < b.reason;
-              });
-    return res;
-}
-
 Campaign::Campaign(const isa::Program &prog, const CampaignConfig &cfg)
     : prog_(prog), cfg_(cfg)
 {

@@ -116,7 +116,7 @@ struct CampaignResult
     // Engine telemetry of the run that produced this result: the
     // counters and wall-clock fields below are in-memory facts, never
     // persisted (the store keeps outcomes only), so they read zero on
-    // a result loaded from a store or composed from section tables.
+    // a result loaded from a store.
 
     // Early-exit accounting (faulty runs that provably reconverged
     // with the golden state and were cut short).
@@ -202,75 +202,6 @@ struct PreparedCampaign
     bool injectAll = false;
     bool groupingOnly = false;
 };
-
-/**
- * One section's slice of a sectioned campaign: the golden run is cut
- * into `sections` equal cycle intervals, every fault group is
- * attributed to the section containing its representative's injection
- * cycle, and this struct carries the outcomes the section contributed
- * to the campaign — the survivor-restricted extrapolated counts plus
- * the quarantine records.  A complete table of these (one per section)
- * composes back into the exact stored result a cold full run produces,
- * which is what lets the result store serve *partial* hits: only
- * missing sections' faults are re-injected.
- */
-struct SectionData
-{
-    /** Extrapolated outcome counts over this section's groups
-     *  (survivor-restricted; ACE-masked faults are added once at
-     *  composition, not per section). */
-    ClassCounts estimate;
-    /** Sorted by (fault key, reason), like CampaignResult::quarantine. */
-    std::vector<faultsim::QuarantineRecord> quarantine;
-
-    /** Fold one completed injection run in: records it when it was
-     *  quarantined (the outcome itself extrapolates per group). */
-    void addRun(std::uint64_t fault_key,
-                const faultsim::InjectDetail &detail);
-};
-
-/**
- * Section containing @p cycle when [0, golden_cycles) is cut into
- * @p sections equal cycle intervals (the remainder widens the last
- * section, and a cycle at/past golden_cycles clamps into it).
- */
-unsigned sectionOfCycle(Cycle cycle, Cycle golden_cycles,
-                        unsigned sections);
-
-/**
- * Can @p prep be run and cached section-by-section?  Requires a plain
- * estimate campaign (no ground-truth sweep, no grouping-only) whose
- * groups carry exactly one representative each: then prep.faults[g]
- * IS group g's representative, every group is attributed to the
- * section of that one injection cycle, and batch deduplication stays
- * section-local (duplicate faults share a cycle, hence a section) —
- * the properties that make per-section run accounting sum exactly to
- * a cold run's totals.
- */
-bool sectionable(const PreparedCampaign &prep);
-
-/**
- * Section index of every fault group of @p prep (prep must be
- * sectionable()): group g lands in the section containing its
- * representative's injection cycle.
- */
-std::vector<unsigned> groupSections(const PreparedCampaign &prep,
-                                    unsigned sections);
-
-/**
- * Compose a CampaignResult from a COMPLETE per-section table (stored
- * hits and freshly-run sections alike) — the sectioned counterpart of
- * Campaign::finish().  Sums the survivor-restricted estimates, adds
- * the ACE-masked faults once, and concatenates + sorts the quarantine
- * records; each section's own quarantine list is also sorted in place
- * so @p table serializes deterministically.  The stored result is
- * byte-identical to a cold full run's by construction (integer sums
- * commute; every outcome is a pure function of its fault).  The
- * engine counters and seconds stay zero: they describe a run, and
- * this result is assembled from several.
- */
-CampaignResult composeSectioned(PreparedCampaign prep,
-                                std::vector<SectionData> &table);
 
 /** Drives one (program, structure, configuration) campaign. */
 class Campaign

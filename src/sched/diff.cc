@@ -142,6 +142,13 @@ SuiteDiff::SuiteDiff(const io::ResultStore &a, const io::ResultStore &b,
             fatal("suite diff: '", knob,
                   "' is not a spec member (valid sweep axes are the "
                   "manifest knob names, e.g. l1d_kb)");
+        // Masking a member the stored specs never carry would join
+        // nothing and report nothing, silently.
+        if (isEngineKnob(knob))
+            fatal("suite diff: '", knob,
+                  "' is an engine knob; engine knobs are not stored "
+                  "(they never change an outcome), so there is no "
+                  "sweep to diff");
     }
     if (!(opts_.confidence > 0.0 && opts_.confidence < 1.0))
         fatal("suite diff: confidence must be in (0, 1)");

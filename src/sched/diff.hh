@@ -72,8 +72,9 @@ struct DiffOptions
 {
     /**
      * Spec members masked out of the join key (the swept knobs).
-     * Every name must be a CampaignSpec JSON member (isSpecMember);
-     * a typo here would silently empty the join, so it is fatal.
+     * Every name must be a stored CampaignSpec JSON member
+     * (isSpecMember, not isEngineKnob); a typo here would silently
+     * empty the join, so it is fatal.
      * Empty = exact join: only byte-identical specs pair up.
      */
     std::vector<std::string> axis;

@@ -1,22 +1,19 @@
 /**
  * @file
- * CampaignService implementation.  The campaign bodies (plain and
- * sectioned) are the former SuiteScheduler internals, moved here
- * verbatim so the batch wrapper keeps its byte-identity guarantees;
- * what is new is the lifetime around them: per-client queues, the
- * single-flight index, and drivers that spawn on demand instead of
- * once per suite.
+ * CampaignService implementation.  The campaign body is the former
+ * SuiteScheduler internals, moved here verbatim so the batch wrapper
+ * keeps its byte-identity guarantees; what is new is the lifetime
+ * around it: per-client queues, the single-flight index, and drivers
+ * that spawn on demand instead of once per suite.
  */
 
 #include "sched/service.hh"
 
 #include <algorithm>
 #include <filesystem>
-#include <set>
 #include <utility>
 
 #include "base/logging.hh"
-#include "faultsim/fault.hh"
 #include "io/journal.hh"
 #include "obs/clock.hh"
 #include "obs/metrics.hh"
@@ -26,28 +23,6 @@ namespace merlin::sched
 {
 
 using io::Json;
-
-bool
-sectionEligible(const CampaignSpec &spec)
-{
-    return spec.mode == CampaignSpec::Mode::Estimate &&
-           spec.grouping.repsPerGroup == 1;
-}
-
-Json
-reducedSpecFor(const CampaignSpec &spec, unsigned sections)
-{
-    Json j = spec.toJson();
-    j.erase("mem_chunk_bytes");
-    j.set("sections", static_cast<std::uint64_t>(sections));
-    return j;
-}
-
-std::string
-reducedKeyFor(const CampaignSpec &spec, unsigned sections)
-{
-    return io::contentKey(reducedSpecFor(spec, sections));
-}
 
 namespace
 {
@@ -154,12 +129,8 @@ struct CampaignService::Job
     CampaignSpec spec;
     std::string key;
     std::string client; ///< fairness queue that owns the job
-    /** Consult journals / section tables (primary's reuseCached). */
+    /** Consult the journal (primary's reuseCached). */
     bool resume = false;
-    bool sectioned = false; ///< section-eligible under cfg_.sections
-    /** Pinned at submit time — the store must not be re-read once
-     *  drivers mutate it. */
-    io::ResultStore::SectionLookup sectionHit;
     bool running = false;
     /** Filled by runJob(); fanned out per ticket by settleLocked(). */
     Outcome outcome;
@@ -227,24 +198,17 @@ CampaignService::journalPathFor(const CampaignSpec &spec) const
 
 // One single-entry store per campaign, named by the spec key, so
 // `store merge` folds shards in any order into exactly the
-// single-store bytes.  A sectioned campaign's shard also carries its
-// section table (@p section_key + @p table, both empty/null when
-// unsectioned), so merged shards reassemble the section tables too.
-// Caller holds storeMu_ — two writers racing on one shard path (a
-// manifest may repeat a spec) must serialize.
+// single-store bytes.  Caller holds storeMu_ — two writers racing on
+// one shard path (a manifest may repeat a spec) must serialize.
 void
 CampaignService::spillShardLocked(const std::string &shard_dir,
                                   const CampaignSpec &spec,
-                                  const core::CampaignResult &res,
-                                  const std::string &section_key,
-                                  const io::ResultStore::SectionTable *table)
+                                  const core::CampaignResult &res)
 {
     io::ResultStore shard(
         (std::filesystem::path(shard_dir) / (spec.key() + ".json"))
             .string());
-    shard.put(spec.key(), spec.toJson(), res);
-    if (table)
-        shard.putSectionTable(section_key, *table);
+    shard.put(spec.key(), spec.keyJson(), res);
     shard.save();
 }
 
@@ -258,12 +222,6 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     }
     const std::string key = spec.key();
     TicketPtr ticket(new Ticket(spec, key, opts));
-    const unsigned S = cfg_.sections;
-    const bool sectionedSpec = S > 0 && sectionEligible(spec);
-    obs::Counter &sectionHitsCtr =
-        obs::Registry::global().counter("store.section_hits");
-    obs::Counter &sectionMissCtr =
-        obs::Registry::global().counter("store.section_misses");
     clientCounter(opts.client, "submitted").add();
 
     // Resolve the store on the submitter's thread, before the job ever
@@ -271,28 +229,12 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     // discipline the batch scheduler had, per submission.
     bool cacheHit = false;
     core::CampaignResult cachedRes;
-    io::ResultStore::SectionLookup sectionHit;
     if (opts.reuseCached) {
         std::lock_guard<std::mutex> lock(storeMu_);
         if (store_.lookup(key, cachedRes)) {
             cacheHit = true;
-            if (!opts.shardDir.empty()) {
-                // The cached spec's section table (when the store has
-                // one) rides along on the shard, keeping merged shards
-                // byte-identical to the single-host store.
-                const io::ResultStore::SectionTable *table = nullptr;
-                std::string rkey;
-                if (sectionedSpec) {
-                    rkey = reducedKeyFor(spec, S);
-                    auto it = store_.sectionTables().find(rkey);
-                    if (it != store_.sectionTables().end())
-                        table = &it->second;
-                }
-                spillShardLocked(opts.shardDir, spec, cachedRes, rkey,
-                                 table);
-            }
-        } else if (sectionedSpec) {
-            sectionHit = store_.lookupSections(reducedKeyFor(spec, S));
+            if (!opts.shardDir.empty())
+                spillShardLocked(opts.shardDir, spec, cachedRes);
         }
     }
 
@@ -300,13 +242,6 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
         Outcome out;
         out.result = std::move(cachedRes);
         out.cached = true;
-        if (sectionedSpec) {
-            // A whole-campaign hit IS an all-sections hit — this is
-            // also how legacy v1 stores (no section tables at all) are
-            // promoted into the sectioned accounting.
-            out.sectionsHit = S;
-            sectionHitsCtr.add(S);
-        }
         // A journal outliving a stored result means a previous run
         // died between the store save and the journal cleanup; the
         // store won, so the journal is stale.
@@ -331,9 +266,10 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
         return nullptr;
     ++stats_.submitted;
 
-    // Single-flight: an identical spec already queued or running means
-    // this submission subscribes instead of simulating — outcomes are
-    // a pure function of the spec, so the bytes are safely shareable.
+    // Single-flight: a spec with this key already queued or running
+    // means this submission subscribes instead of simulating — outcomes
+    // are a pure function of the keyed members, so the bytes are safely
+    // shareable whatever engine knobs either submission carried.
     auto it = inflight_.find(key);
     if (it != inflight_.end()) {
         Job &job = *it->second;
@@ -350,20 +286,6 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     job->key = key;
     job->client = opts.client;
     job->resume = opts.reuseCached;
-    job->sectioned = sectionedSpec;
-    job->sectionHit = std::move(sectionHit);
-    if (sectionedSpec) {
-        std::uint32_t hits = 0;
-        for (const auto &[idx, data] : job->sectionHit.sections) {
-            (void)data;
-            if (idx < S)
-                ++hits;
-        }
-        job->outcome.sectionsHit = hits;
-        job->outcome.sectionsMissed = S - hits;
-        sectionHitsCtr.add(hits);
-        sectionMissCtr.add(S - hits);
-    }
     job->tickets.push_back(ticket);
 
     auto [qit, fresh] = queues_.try_emplace(opts.client);
@@ -637,129 +559,6 @@ CampaignService::primaryProgress(const Job &job)
     return job.tickets.empty() ? nullptr : job.tickets[0]->opts_.progress;
 }
 
-// The sectioned campaign body: serve the stored slices, inject only
-// the missing sections' representatives, compose the result from the
-// complete per-section table, and persist both.  By construction (see
-// core::composeSectioned) the result — and therefore the store bytes —
-// is identical to the unsectioned path's for the same spec.
-void
-CampaignService::runSectioned(Job &job, core::Campaign &camp,
-                              core::PreparedCampaign prep)
-{
-    const CampaignSpec &spec = job.spec;
-    const unsigned S = cfg_.sections;
-    obs::ProgressSink *progress = primaryProgress(job);
-    const Cycle goldenCycles = prep.result.goldenCycles;
-    const std::vector<unsigned> gsec = core::groupSections(prep, S);
-    const io::ResultStore::SectionLookup &hit = job.sectionHit;
-    if (hit.found && hit.goldenCycles != goldenCycles)
-        fatal("suite: stored section table for spec ", spec.key(),
-              " records a golden run of ", hit.goldenCycles,
-              " cycles, but this campaign produced ", goldenCycles,
-              " — the store was built by a different engine; "
-              "delete it or run without --sections");
-    std::vector<bool> missing(S, true);
-    if (hit.found) {
-        for (const auto &[idx, data] : hit.sections) {
-            (void)data;
-            if (idx < S)
-                missing[idx] = false;
-        }
-    }
-
-    // Only missing sections' representatives run; freshGroups maps
-    // the reduced fault list back onto group indices.
-    std::vector<faultsim::Fault> runFaults;
-    std::vector<std::size_t> freshGroups;
-    for (std::size_t g = 0; g < prep.faults.size(); ++g) {
-        if (missing[gsec[g]]) {
-            runFaults.push_back(prep.faults[g]);
-            freshGroups.push_back(g);
-        }
-    }
-
-    std::vector<core::SectionData> acct(S);
-    std::mutex acctMu;
-    const auto sectionOfKey = [&](std::uint64_t key) {
-        return core::sectionOfCycle(faultsim::faultKeyCycle(key),
-                                    goldenCycles, S);
-    };
-    std::vector<faultsim::Outcome> outcomes;
-    io::OutcomeJournal journal(journalPathFor(spec), spec.key());
-    if (!runFaults.empty()) {
-        faultsim::RestoredOutcomes known;
-        io::OutcomeJournal::Restored restored;
-        if (job.resume) {
-            obs::Span replay_span("io", "journal.replay");
-            restored = journal.restore(
-                [&](std::uint64_t key, faultsim::Outcome o) {
-                    known.emplace(key, o);
-                });
-        }
-        // Hit sections already carry their quarantine inside the
-        // stored table; only missing sections take the replayed share.
-        for (const faultsim::QuarantineRecord &rec : restored.quarantine) {
-            const unsigned s = sectionOfKey(rec.faultKey);
-            if (missing[s])
-                acct[s].quarantine.push_back(rec);
-        }
-        bumpRelaxed(progress, &obs::ProgressSink::injections,
-                    restored.runs);
-        journal.open();
-        const faultsim::InjectionRunner::OutcomeCallback record =
-            [&](std::uint64_t key, faultsim::Outcome o,
-                const faultsim::InjectDetail &detail) {
-                journal.append(key, o, detail);
-                const unsigned s = sectionOfKey(key);
-                {
-                    // Callbacks fire concurrently from pool
-                    // workers as injections finish.
-                    std::lock_guard<std::mutex> lock(acctMu);
-                    if (missing[s])
-                        acct[s].addRun(key, detail);
-                }
-                bumpRelaxed(progress, &obs::ProgressSink::injections);
-            };
-        base::TaskGroup group(pool_);
-        {
-            obs::Span inject_span("campaign",
-                                  "inject-batch " + spec.workload);
-            outcomes = camp.runner().injectBatch(
-                runFaults, camp.goldenRun(), group, &known, &record);
-        }
-        journal.close();
-    }
-    // Extrapolate each freshly-run group into its section's slice.
-    // The quarantine records are already inside acct: restored ones
-    // from the journal, simulated ones via the callback.
-    for (std::size_t p = 0; p < runFaults.size(); ++p) {
-        const std::size_t g = freshGroups[p];
-        acct[gsec[g]].estimate.add(
-            outcomes[p], prep.grouping.groups[g].members.size());
-    }
-    // The COMPLETE table: stored slices for hit sections, fresh
-    // accounting for the rest.
-    std::vector<core::SectionData> table(S);
-    for (unsigned s = 0; s < S; ++s)
-        table[s] = missing[s] ? std::move(acct[s]) : hit.sections.at(s);
-    core::CampaignResult res =
-        core::composeSectioned(std::move(prep), table);
-    const std::string rkey = reducedKeyFor(spec, S);
-    const std::vector<std::string> shardDirs = shardDirsOf(job);
-    {
-        std::lock_guard<std::mutex> lock(storeMu_);
-        store_.put(spec.key(), spec.toJson(), res);
-        store_.putSections(rkey, reducedSpecFor(spec, S), goldenCycles,
-                           table);
-        store_.save();
-        for (const std::string &dir : shardDirs)
-            spillShardLocked(dir, spec, res, rkey,
-                             &store_.sectionTables().at(rkey));
-    }
-    journal.remove();
-    job.outcome.result = std::move(res);
-}
-
 void
 CampaignService::runJob(Job &job)
 {
@@ -779,12 +578,6 @@ CampaignService::runJob(Job &job)
         camp.prepare(spec.mode == CampaignSpec::Mode::Truth, spec.relyzer,
                      spec.pathDepth,
                      spec.mode == CampaignSpec::Mode::GroupingOnly);
-
-    if (cfg_.sections > 0 && sectionEligible(spec) &&
-        core::sectionable(prep)) {
-        runSectioned(job, camp, std::move(prep));
-        return;
-    }
 
     std::vector<faultsim::Outcome> outcomes;
     double inject_seconds = 0.0;
@@ -850,7 +643,7 @@ CampaignService::runJob(Job &job)
         // Persist after EVERY campaign: an interrupted service
         // resumes from the completed prefix.
         std::lock_guard<std::mutex> lock(storeMu_);
-        store_.put(spec.key(), spec.toJson(), res);
+        store_.put(spec.key(), spec.keyJson(), res);
         store_.save();
         for (const std::string &dir : shardDirs)
             spillShardLocked(dir, spec, res);

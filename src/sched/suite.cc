@@ -106,6 +106,12 @@ const char *const kSpecMembers[] = {
     "mode",          "relyzer",        "path_depth",
 };
 
+/** Members that never change a campaign's outcome (not in key()). */
+const char *const kEngineKnobs[] = {
+    "checkpoint_interval", "max_checkpoints", "early_exit", "replay",
+    "mem_chunk_bytes",
+};
+
 void
 checkSpecMembers(const Json &j, const char *what)
 {
@@ -122,6 +128,16 @@ bool
 isSpecMember(const std::string &name)
 {
     for (const char *m : kSpecMembers) {
+        if (name == m)
+            return true;
+    }
+    return false;
+}
+
+bool
+isEngineKnob(const std::string &name)
+{
+    for (const char *m : kEngineKnobs) {
         if (name == m)
             return true;
     }
@@ -158,9 +174,9 @@ CampaignSpec::campaignConfig(const workloads::BuiltWorkload &w) const
 Json
 CampaignSpec::toJson() const
 {
-    // Fixed member order and a member for every field: this dump is
-    // the content-hash input, so it must be a pure function of the
-    // spec VALUE, never of how the spec was built.
+    // Fixed member order and a member for every field: keyJson() and
+    // therefore the content hash derive from this dump, so it must be
+    // a pure function of the spec VALUE, never of how it was built.
     Json j = Json::object();
     j.set("workload", workload);
     j.set("structure", structureTag(structure));
@@ -242,10 +258,19 @@ CampaignSpec::fromJson(const Json &j)
     return s;
 }
 
+Json
+CampaignSpec::keyJson() const
+{
+    Json j = toJson();
+    for (const char *knob : kEngineKnobs)
+        j.erase(knob);
+    return j;
+}
+
 std::string
 CampaignSpec::key() const
 {
-    return io::contentKey(toJson());
+    return io::contentKey(keyJson());
 }
 
 bool
@@ -309,8 +334,6 @@ SuiteScheduler::run()
     out.results.resize(specs_.size());
     out.cached.assign(specs_.size(), false);
     out.selected.assign(specs_.size(), true);
-    out.sectionsHit.assign(specs_.size(), 0);
-    out.sectionsMissed.assign(specs_.size(), 0);
     if (opts_.select) {
         for (std::size_t i = 0; i < specs_.size(); ++i)
             out.selected[i] = opts_.select->selects(i, specs_[i].key());
@@ -332,9 +355,9 @@ SuiteScheduler::run()
     // config derivations (journal placement, store loading only under
     // --resume) are exactly the one-shot scheduler's old rules.
     // startPaused preserves the batch phase structure: every cache
-    // hit and section lookup resolves against the loaded store BEFORE
-    // any campaign mutates it, so reports and store bytes cannot
-    // depend on submission/completion races.
+    // hit resolves against the loaded store BEFORE any campaign
+    // mutates it, so reports and store bytes cannot depend on
+    // submission/completion races.
     CampaignService::Config cfg;
     cfg.jobs = opts_.jobs;
     cfg.storePath = opts_.storePath;
@@ -343,7 +366,6 @@ SuiteScheduler::run()
             ? opts_.shardDir
             : (opts_.storePath.empty() ? std::string()
                                        : opts_.storePath + ".journal");
-    cfg.sections = opts_.sections;
     cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;
@@ -388,25 +410,6 @@ SuiteScheduler::run()
             }
             for (const std::string &key : foreign)
                 store.erase(key);
-            // Section tables are foreign under the same rule, against
-            // the reduced keys this worker's share can produce (none
-            // at all when sectioning is off).
-            std::set<std::string> mineSections;
-            if (opts_.sections > 0) {
-                for (std::size_t i = 0; i < specs_.size(); ++i) {
-                    if (out.selected[i] && sectionEligible(specs_[i]))
-                        mineSections.insert(
-                            reducedKeyFor(specs_[i], opts_.sections));
-                }
-            }
-            std::vector<std::string> foreignSections;
-            for (const auto &[key, table] : store.sectionTables()) {
-                (void)table;
-                if (!mineSections.count(key))
-                    foreignSections.push_back(key);
-            }
-            for (const std::string &key : foreignSections)
-                store.eraseSections(key);
         } else {
             // A full run owns the whole suite; a worker store being
             // promoted back to a single-host store sheds its selection.
@@ -462,8 +465,6 @@ SuiteScheduler::run()
         const CampaignService::Outcome &o = tickets[i]->outcome();
         out.results[i] = o.result;
         out.cached[i] = o.cached;
-        out.sectionsHit[i] = o.sectionsHit;
-        out.sectionsMissed[i] = o.sectionsMissed;
         if (!o.cached)
             ++ran;
     }

@@ -17,11 +17,15 @@
  * any schedule.
  *
  * Persistence.  With a store path set, every finished campaign is
- * written (atomically) to a ResultStore keyed by the spec's content
- * hash; reuseCached turns matching stored entries into cache hits that
- * skip the campaign entirely, which is also how an interrupted suite
- * resumes.  Stored results carry outcomes only (no wall clock, no
- * engine counters), so two runs of the same suite write byte-identical
+ * written (atomically) to a ResultStore keyed by the content hash of
+ * the spec's outcome-determining members; reuseCached turns matching
+ * stored entries into cache hits that skip the campaign entirely,
+ * which is also how an interrupted suite resumes.  The engine knobs
+ * (early_exit, replay, checkpoint_interval, max_checkpoints,
+ * mem_chunk_bytes) are not part of that key, so a re-run that only
+ * changes how fast the engine gets there is a plain cache hit.
+ * Stored results carry outcomes only (no wall clock, no engine
+ * counters), so two runs of the same suite write byte-identical
  * stores by default.  Engine telemetry goes to the metrics registry
  * (--metrics) instead.
  */
@@ -45,8 +49,9 @@ namespace merlin::sched
 /**
  * Everything that defines one campaign of a suite — a value type, so
  * it can be hashed, serialized into manifests/results, and compared.
- * The job count is deliberately NOT part of a spec: it never changes
- * the result, so it must not change the cache key.
+ * The job count is deliberately NOT part of a spec, and the engine
+ * knobs are part of the spec but not of its key: neither changes the
+ * result, so neither may change the cache key.
  */
 struct CampaignSpec
 {
@@ -76,13 +81,15 @@ struct CampaignSpec
     unsigned maxCheckpoints =
         faultsim::InjectionRunner::kDefaultMaxCheckpoints;
     /**
-     * Engine knobs, part of the spec value and therefore of the
-     * content hash: a result must record exactly how it was produced.
-     * earlyExit, replay and memChunkBytes never change campaign
-     * outcomes (early exit and the golden-trace replay fast path are
-     * classification-preserving, the chunk size only shapes COW detach
-     * cost); timeoutFactor DOES move the Timeout classification
-     * boundary — the paper's rule is the default 3.
+     * Engine knobs (with checkpointInterval and maxCheckpoints above):
+     * the runner honours them, manifests and toJson() carry them, but
+     * key() and the stored spec leave them out (isEngineKnob), because
+     * they never change campaign outcomes — early exit and the
+     * golden-trace replay fast path are classification-preserving, the
+     * checkpoint cadence only picks where injections resume, and the
+     * chunk size only shapes COW detach cost.  timeoutFactor is NOT an
+     * engine knob: it moves the Timeout classification boundary (the
+     * paper's rule is the default 3), so it stays in the key.
      */
     bool earlyExit = true;
     bool replay = true;
@@ -98,15 +105,22 @@ struct CampaignSpec
     core::CampaignConfig
     campaignConfig(const workloads::BuiltWorkload &w) const;
 
-    /** Canonical JSON (fixed member order — the hash input). */
+    /** Canonical JSON, every member in fixed order (manifests). */
     io::Json toJson() const;
+
+    /**
+     * toJson() minus the engine knobs, other members in the same
+     * order: the hash input of key(), and the spec the result store,
+     * its shards and wire `result` replies record.
+     */
+    io::Json keyJson() const;
 
     /** Inverse of toJson(); unknown members are fatal(). */
     static CampaignSpec fromJson(const io::Json &j);
 
     /**
-     * Content hash of the spec (16 hex digits, FNV-1a over the
-     * canonical JSON): the ResultStore key.
+     * Content hash of the spec (16 hex digits, FNV-1a over
+     * keyJson()): the ResultStore key.
      */
     std::string key() const;
 
@@ -120,8 +134,11 @@ struct CampaignSpec
  */
 std::vector<CampaignSpec> parseManifest(const io::Json &manifest);
 
-/** Is @p name a CampaignSpec JSON member (a valid sweep axis knob)? */
+/** Is @p name a CampaignSpec JSON member (a manifest knob)? */
 bool isSpecMember(const std::string &name);
+
+/** Is @p name an engine knob: a spec member key() leaves out? */
+bool isEngineKnob(const std::string &name);
 
 struct SuiteOptions
 {
@@ -144,23 +161,6 @@ struct SuiteOptions
      * overwrite.
      */
     bool reuseCached = false;
-    /**
-     * Section count for incremental campaigns (--sections; 0 = off).
-     * With N > 0 every eligible campaign's golden run is cut into N
-     * equal cycle intervals, each sampled fault is attributed to the
-     * section containing its injection cycle, and the per-section
-     * outcome slices are stored in the result store keyed at (spec
-     * minus the swept knobs, currently {mem_chunk_bytes}) x section.
-     * A later run whose spec differs only in a swept knob then serves
-     * the stored sections as PARTIAL cache hits: only missing
-     * sections' faults are re-injected, and the composed result is
-     * byte-identical to a cold full run.  Eligible campaigns are
-     * estimate-mode specs with reps_per_group == 1 (the paper's
-     * configuration); others always run whole.  Deliberately NOT a
-     * spec member — like jobs, it never changes a campaign's result,
-     * so it must not change the cache key.
-     */
-    unsigned sections = 0;
     /**
      * Per-injection real-wall-clock watchdog in seconds (0 = off),
      * and what to do when the quarantine guard fires.  Operational
@@ -206,15 +206,6 @@ struct SuiteResult
      * --select).  results[i] is meaningful only when selected[i].
      */
     std::vector<bool> selected;
-    /**
-     * Per-spec section-store accounting (all zero when sectioning is
-     * off or the spec is not section-eligible): how many of the
-     * SuiteOptions::sections slices were served from the store and how
-     * many had to run.  A whole-campaign cache hit on an eligible spec
-     * counts as all sections hit.
-     */
-    std::vector<std::uint32_t> sectionsHit;
-    std::vector<std::uint32_t> sectionsMissed;
     std::uint64_t campaignsRun = 0;
     /**
      * Injections this run simulated or replayed from journals (cache

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -13,7 +12,6 @@
 #include "isa/memory.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "sched/diff.hh"
 
 namespace merlin::tools
 {
@@ -243,10 +241,6 @@ suiteOptionsFromArgs(const Args &args)
     opts.storePath = args.get("out");
     opts.shardDir = args.get("out-dir");
     opts.reuseCached = args.has("resume");
-    opts.sections = args.getU32("sections", 0);
-    if (args.has("sections") &&
-        (opts.sections == 0 || opts.sections > 4096))
-        fatal("--sections must be in [1, 4096]");
     opts.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     opts.quarantineFail = parseQuarantineFail(args);
     // --progress / --progress=SECS: periodic stderr line (a bare flag
@@ -277,10 +271,6 @@ serviceConfigFromArgs(const Args &args)
     // campaign engine — where the one-shot suite defaults to 1.
     cfg.jobs = args.getU32("jobs", 0);
     cfg.storePath = args.get("store");
-    cfg.sections = args.getU32("sections", 0);
-    if (args.has("sections") &&
-        (cfg.sections == 0 || cfg.sections > 4096))
-        fatal("--sections must be in [1, 4096]");
     cfg.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     cfg.quarantineFail = parseQuarantineFail(args);
     // The daemon always warms from its store: a persistent cache is
@@ -392,29 +382,12 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                 "AVF%", "");
     std::uint64_t cached = 0;
     std::uint64_t selected = 0;
-    std::uint64_t sectionsHit = 0;
-    std::uint64_t sectionsMissed = 0;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (!suite.selected[i])
             continue; // another worker's share
         const auto &r = suite.results[i];
         ++selected;
         cached += suite.cached[i] ? 1 : 0;
-        sectionsHit += suite.sectionsHit[i];
-        sectionsMissed += suite.sectionsMissed[i];
-        // Trailing tags, strictly after every numeric column:
-        // [cached] for whole-campaign hits, [sections h/N] for the
-        // section-eligible campaigns of a --sections run.
-        std::string tag = suite.cached[i] ? "[cached]" : "";
-        if (suite.sectionsHit[i] + suite.sectionsMissed[i] > 0) {
-            if (!tag.empty())
-                tag += ' ';
-            tag += "[sections " + std::to_string(suite.sectionsHit[i]) +
-                   "/" +
-                   std::to_string(suite.sectionsHit[i] +
-                                  suite.sectionsMissed[i]) +
-                   "]";
-        }
         std::printf(
             "%-14s %-4s %-13s %10llu %10llu %10llu %7.3f%% %s\n",
             specs[i].workload.c_str(),
@@ -427,7 +400,8 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
             static_cast<unsigned long long>(r.initialFaults),
             static_cast<unsigned long long>(r.survivors),
             static_cast<unsigned long long>(r.injections),
-            100 * r.merlinEstimate.avf(), tag.c_str());
+            100 * r.merlinEstimate.avf(),
+            suite.cached[i] ? "[cached]" : "");
     }
     std::printf("\n%llu campaigns (%llu run, %llu cached) in %.2fs "
                 "with --jobs %u\n",
@@ -435,39 +409,6 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
                 static_cast<unsigned long long>(suite.campaignsRun),
                 static_cast<unsigned long long>(cached),
                 suite.wallSeconds, opts.jobs);
-    if (opts.sections > 0) {
-        std::printf("sections (--sections %u): %llu hit, %llu missed\n",
-                    opts.sections,
-                    static_cast<unsigned long long>(sectionsHit),
-                    static_cast<unsigned long long>(sectionsMissed));
-        // Composed per-campaign AVF with its Leveugle sampling margin:
-        // the CI is a function of the INITIAL sample size, so partial
-        // composition leaves it — like the AVF itself — identical to
-        // a cold full run's.
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            if (!suite.selected[i] ||
-                suite.sectionsHit[i] + suite.sectionsMissed[i] == 0)
-                continue;
-            const auto &r = suite.results[i];
-            const double confidence = specs[i].sampling.confidence;
-            const std::optional<double> margin =
-                sched::samplingMargin(r.initialFaults, confidence);
-            if (margin) {
-                std::printf("  %-14s %-4s composed AVF %7.3f%% +- "
-                            "%.3fpp at %.3g%% confidence\n",
-                            specs[i].workload.c_str(),
-                            uarch::structureName(specs[i].structure),
-                            100 * r.merlinEstimate.avf(), 100 * *margin,
-                            100 * confidence);
-            } else {
-                std::printf("  %-14s %-4s composed AVF %7.3f%% (no "
-                            "sampling margin: zero initial faults)\n",
-                            specs[i].workload.c_str(),
-                            uarch::structureName(specs[i].structure),
-                            100 * r.merlinEstimate.avf());
-            }
-        }
-    }
     if (suite.injectionsSimulated && suite.wallSeconds > 0.0) {
         std::printf("throughput: %llu injections at %.0f/s\n",
                     static_cast<unsigned long long>(

@@ -86,7 +86,7 @@ std::vector<sched::CampaignSpec>
 loadManifestFile(const std::string &path);
 
 /**
- * The one-shot suite knobs (--jobs/--out/--resume/--sections/...),
+ * The one-shot suite knobs (--jobs/--out/--resume/--select/...),
  * validations included — the single derivation both `suite` and any
  * batch-flavored front end use.
  */
@@ -94,8 +94,8 @@ sched::SuiteOptions suiteOptionsFromArgs(const Args &args);
 
 /**
  * The daemon-lifetime service knobs from the SAME flag grammar
- * (--jobs/--store/--sections/quarantine).  The daemon
- * always loads its store — a warm cache is its reason to exist.
+ * (--jobs/--store/quarantine).  The daemon always loads its store —
+ * a warm cache is its reason to exist.
  */
 sched::CampaignService::Config serviceConfigFromArgs(const Args &args);
 
@@ -108,7 +108,7 @@ std::uint64_t structureBits(const core::CampaignConfig &cc);
 /**
  * Print the suite report table + summary blocks exactly as
  * `merlin_cli suite` always has (byte-identical contract: CI awks
- * these columns).  @p opts supplies jobs/sections/select/store paths
+ * these columns).  @p opts supplies jobs/select/store paths
  * for the trailer lines.
  */
 void printSuiteReport(const std::vector<sched::CampaignSpec> &specs,

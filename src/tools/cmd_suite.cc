@@ -99,8 +99,8 @@ cmdSuite(const std::string &manifest_path, const Args &args)
         return cmdSuitePlan(specs, args);
     }
     requireKnownFlags(args,
-                      {"jobs", "out", "out-dir", "resume", "sections",
-                       "select", "select-hash", "quarantine",
+                      {"jobs", "out", "out-dir", "resume", "select",
+                       "select-hash", "quarantine",
                        "inject-wall-limit", "trace", "metrics",
                        "progress", "progress-json"},
                       "suite");

@@ -40,7 +40,6 @@
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
  *       [--jobs N] [--out results.json] [--out-dir DIR] [--resume]
- *       [--sections N]
  *       [--select i/n | --select-hash i/n]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
@@ -57,16 +56,11 @@
  *       --out-dir additionally spills every campaign as a single-entry
  *       shard file DIR/<key>.json for `store merge`.  The results
  *       file holds outcomes only, so it is byte-identical across runs.
- *       --sections N turns on incremental (partial-hit) caching: each
- *       eligible campaign's golden run is cut into N equal cycle
- *       intervals, per-section outcome slices are stored keyed at
- *       (spec minus swept knobs, currently mem_chunk_bytes) x section
- *       in the result store, and a --resume whose spec
- *       differs only in a swept knob re-injects ONLY the sections the
- *       store is missing — with the composed result byte-identical to
- *       a cold full run.  The report tags eligible campaigns with
- *       [sections hit/N] and prints each composed AVF with its
- *       Leveugle sampling margin.
+ *       The engine knobs (early_exit, replay, checkpoint_interval,
+ *       max_checkpoints, mem_chunk_bytes) are honoured but are not
+ *       part of the key or of the stored spec: they never change an
+ *       outcome, so a --resume of a manifest that differs only in
+ *       them simulates nothing and leaves the store bytes unchanged.
  *       Telemetry (all strictly out-of-band — results and store bytes
  *       are byte-identical with or without it): --trace records every
  *       scheduler/campaign/injection/store span as Chrome trace_event
@@ -97,9 +91,10 @@
  *       Differential sweep: join two result stores on the spec content
  *       hash modulo the swept --axis knobs (manifest member names,
  *       e.g. l1d_kb) and report per-campaign and aggregate B-A deltas
- *       (AVF, class counts, injection runs, early-exit rate), each
- *       with a sampling confidence interval.  Output is deterministic:
- *       sorted rows, byte-stable JSON with --out.
+ *       (AVF, class counts, injected representatives), each with a
+ *       sampling confidence interval.  Engine knobs are not stored,
+ *       so naming one as an axis is an error.  Output is
+ *       deterministic: sorted rows, byte-stable JSON with --out.
  *   merlin_cli store merge --out merged.json [--force-theirs]
  *       input... (store files and/or shard directories)
  *       Fold result stores/shards into one store.  A key on both sides
@@ -178,7 +173,6 @@ main(int argc, char **argv)
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
                              "[--out-dir DIR] [--resume] "
-                             "[--sections N] "
                              "[--select i/n | --select-hash i/n] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "

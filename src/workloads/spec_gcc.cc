@@ -85,11 +85,15 @@ makeBytecode()
     return p;
 }
 
-/** Reference interpreter mirroring the assembly exactly. */
+/**
+ * Reference interpreter mirroring the assembly exactly.  Stack slots
+ * are unsigned so ADD/SUB/MUL/DEC wrap modulo 2^64 as the simulated
+ * ISA's registers do (signed overflow would be undefined behaviour).
+ */
 std::pair<std::uint64_t, std::uint64_t>
 refRun(const Prog &p, std::uint64_t max_steps)
 {
-    std::vector<std::int64_t> stack;
+    std::vector<std::uint64_t> stack;
     std::uint64_t steps = 0;
     std::int64_t pc = 0;
     while (steps < max_steps) {
@@ -98,7 +102,9 @@ refRun(const Prog &p, std::uint64_t max_steps)
         ++steps;
         ++pc;
         switch (op) {
-          case OP_PUSH: stack.push_back(arg); break;
+          case OP_PUSH:
+            stack.push_back(static_cast<std::uint64_t>(arg));
+            break;
           case OP_ADD: {
             auto b = stack.back();
             stack.pop_back();
@@ -136,7 +142,7 @@ refRun(const Prog &p, std::uint64_t max_steps)
             break;
           }
           case OP_HALT:
-            return {static_cast<std::uint64_t>(stack.back()), steps};
+            return {stack.back(), steps};
         }
     }
     return {0, steps};

@@ -75,7 +75,7 @@ void
 putSpec(ResultStore &store, const CampaignSpec &spec,
         const CampaignResult &res)
 {
-    store.put(spec.key(), spec.toJson(), res);
+    store.put(spec.key(), spec.keyJson(), res);
 }
 
 std::string
@@ -380,6 +380,20 @@ TEST(SuiteDiff, UnknownAxisKnobIsFatal)
     ResultStore a, b;
     EXPECT_THROW(SuiteDiff(a, b, DiffOptions{{"l1d_size"}, 0.998}),
                  FatalError);
+    // Engine knobs are spec members but never stored: an axis on one
+    // would silently join nothing, so it is refused by name.
+    for (const char *knob : {"early_exit", "mem_chunk_bytes"}) {
+        try {
+            SuiteDiff(a, b, DiffOptions{{"l1d_kb", knob}, 0.998});
+            FAIL() << knob << " accepted as an axis";
+        } catch (const FatalError &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(knob), std::string::npos) << msg;
+            EXPECT_NE(msg.find("engine knobs are not stored"),
+                      std::string::npos)
+                << msg;
+        }
+    }
     EXPECT_THROW(SuiteDiff(a, b, DiffOptions{{"l1d_kb"}, 1.5}),
                  FatalError);
 }
@@ -526,7 +540,7 @@ TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
         SuiteResult suite = SuiteScheduler(specs, opts).run();
         ResultStore store;
         for (std::size_t i = 0; i < specs.size(); ++i)
-            store.put(specs[i].key(), specs[i].toJson(),
+            store.put(specs[i].key(), specs[i].keyJson(),
                       suite.results[i]);
         return store;
     };

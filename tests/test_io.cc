@@ -428,7 +428,7 @@ TEST_F(StoreFixture, MissingFileLoadsAsFresh)
 TEST_F(StoreFixture, MalformedFileIsFatalNotSilent)
 {
     const std::string p = track(path("corrupt"));
-    std::ofstream(p) << "{\"format\":\"merlin-store-v3\","
+    std::ofstream(p) << "{\"format\":\"merlin-store-v4\","
                         "\"campaigns\":{\"k\":{}}}";
     ResultStore store(p);
     EXPECT_THROW(store.load(), FatalError);
@@ -455,7 +455,7 @@ TEST_F(StoreFixture, TruncatedStoresAreDiagnosedByName)
     std::ofstream(p) << "   \n\t"; // whitespace-only counts as empty
     EXPECT_THROW(store.load(), FatalError);
     // A valid prefix cut mid-write: unparseable, with the path named.
-    std::ofstream(p) << "{\"format\":\"merlin-store-v3\",\"campa";
+    std::ofstream(p) << "{\"format\":\"merlin-store-v4\",\"campa";
     try {
         store.load();
         FAIL() << "truncated store loaded";
@@ -644,89 +644,10 @@ TEST(ResultJson, UnrecognizedQuarantineRecordsAreSkippedNotFatal)
     expectSameResult(r, back);
 }
 
-// ------------------------------------------------- section tables
-
-/** A distinguishable SectionData for section index @p idx. */
-core::SectionData
-sampleSection(unsigned idx, bool with_quarantine = false)
-{
-    core::SectionData s;
-    s.estimate.add(Outcome::Masked, 100 + idx);
-    s.estimate.add(Outcome::SDC, 10 * idx);
-    if (with_quarantine)
-        s.quarantine.push_back({0xbeef + idx, "wall clock"});
-    return s;
-}
-
-void
-expectSameSection(const core::SectionData &a, const core::SectionData &b)
-{
-    EXPECT_EQ(a.estimate.counts, b.estimate.counts);
-    ASSERT_EQ(a.quarantine.size(), b.quarantine.size());
-    for (std::size_t i = 0; i < a.quarantine.size(); ++i)
-        EXPECT_TRUE(a.quarantine[i] == b.quarantine[i]);
-}
-
-TEST_F(StoreFixture, SectionTablesRoundTripThroughDisk)
-{
-    const std::string p = track(path("sections"));
-    std::vector<core::SectionData> table;
-    for (unsigned i = 0; i < 4; ++i)
-        table.push_back(sampleSection(i, i == 2));
-    Json spec = Json::object();
-    spec.set("workload", "fft");
-    spec.set("sections", 4);
-    {
-        ResultStore store(p);
-        store.put("k1", Json::object(), sampleResult(false));
-        store.putSections("rk1", spec, 12345, table);
-        store.save();
-    }
-    ResultStore loaded(p);
-    ASSERT_TRUE(loaded.load());
-    EXPECT_EQ(loaded.size(), 1u);
-    const auto hit = loaded.lookupSections("rk1");
-    ASSERT_TRUE(hit.found);
-    EXPECT_EQ(hit.goldenCycles, 12345u);
-    ASSERT_EQ(hit.sections.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i) {
-        ASSERT_TRUE(hit.sections.count(i));
-        expectSameSection(table[i], hit.sections.at(i));
-    }
-    EXPECT_FALSE(loaded.lookupSections("rk2").found);
-
-    // eraseSections removes the table without touching campaigns.
-    EXPECT_TRUE(loaded.eraseSections("rk1"));
-    EXPECT_FALSE(loaded.eraseSections("rk1"));
-    EXPECT_TRUE(loaded.contains("k1"));
-}
-
-TEST_F(StoreFixture, SectionSerializationIsIndependentOfInsertionOrder)
-{
-    const std::vector<core::SectionData> t1 = {sampleSection(0),
-                                               sampleSection(1)};
-    const std::vector<core::SectionData> t2 = {sampleSection(2)};
-    ResultStore a, b;
-    a.putSections("zz", Json::object(), 100, t1);
-    a.putSections("aa", Json::object(), 200, t2);
-    b.putSections("aa", Json::object(), 200, t2);
-    b.putSections("zz", Json::object(), 100, t1);
-    EXPECT_EQ(a.toJson().dump(2), b.toJson().dump(2));
-}
-
-TEST_F(StoreFixture, SectionlessStoresCarryNoSectionsMember)
-{
-    // The member is emitted only when tables exist, so a suite run
-    // without --sections writes a campaign-only store.
-    ResultStore store;
-    store.put("k", Json::object(), sampleResult(false));
-    EXPECT_FALSE(store.toJson().find("sections"));
-    EXPECT_EQ(store.toJson().strOr("format", ""), "merlin-store-v3");
-}
-
 TEST_F(StoreFixture, RetiredFormatsAreRefusedByName)
 {
-    // Older stores carried wall clock and engine counters.  They are
+    // v3 keys hashed the engine knobs (every lookup would miss); older
+    // stores also carried wall clock and engine counters.  They are
     // recomputable caches, so the load refuses them by name and says
     // what to do, instead of reading them through a second schema.
     const std::string p = track(path("retired"));
@@ -736,11 +657,12 @@ TEST_F(StoreFixture, RetiredFormatsAreRefusedByName)
         store.save();
     }
     const std::string text = storeText(p);
-    const std::size_t at = text.find("merlin-store-v3");
+    const std::size_t at = text.find("merlin-store-v4");
     ASSERT_NE(at, std::string::npos);
-    for (const char *retired : {"merlin-store-v2", "merlin-results-v1"}) {
+    for (const char *retired :
+         {"merlin-store-v3", "merlin-store-v2", "merlin-results-v1"}) {
         std::string old = text;
-        old.replace(at, std::strlen("merlin-store-v3"), retired);
+        old.replace(at, std::strlen("merlin-store-v4"), retired);
         std::ofstream(p, std::ios::trunc) << old;
         ResultStore loaded(p);
         try {
@@ -785,83 +707,18 @@ TEST_F(StoreFixture, IndependentRunsOfOneSpecMergeAsIdentical)
     EXPECT_EQ(stats.added, 0u);
 }
 
-TEST_F(StoreFixture, MergeFoldsSectionTables)
-{
-    const std::vector<core::SectionData> t1 = {sampleSection(0),
-                                               sampleSection(1)};
-    const std::vector<core::SectionData> t2 = {sampleSection(2),
-                                               sampleSection(3)};
-    ResultStore a;
-    a.putSections("shared", Json::object(), 100, t1);
-    ResultStore b;
-    b.putSections("shared", Json::object(), 100, t1); // identical
-    b.putSections("only_b", Json::object(), 200, t2);
-
-    ResultStore merged;
-    auto stats = merged.merge(a);
-    EXPECT_EQ(stats.sectionEntriesAdded, t1.size());
-    stats = merged.merge(b);
-    EXPECT_EQ(stats.sectionEntriesAdded, t2.size()); // "shared" dedups
-    EXPECT_EQ(merged.sectionTables().size(), 2u);
-    // Merge order cannot leak into the bytes.
-    ResultStore reversed;
-    reversed.merge(b);
-    reversed.merge(a);
-    EXPECT_EQ(merged.toJson().dump(2), reversed.toJson().dump(2));
-
-    // A same-key table with a DIFFERENT payload is a conflict: fatal
-    // by default, resolved by force_theirs.
-    ResultStore conflicting;
-    conflicting.putSections("shared", Json::object(), 100,
-                            {sampleSection(7), sampleSection(8)});
-    EXPECT_THROW(merged.merge(conflicting), FatalError);
-    merged.merge(conflicting, /*force_theirs=*/true);
-    const auto hit = merged.lookupSections("shared");
-    ASSERT_TRUE(hit.found);
-    expectSameSection(sampleSection(7), hit.sections.at(0));
-}
-
-TEST_F(StoreFixture, MergeFillsMissingSectionEntriesOfATable)
-{
-    // Two workers ran disjoint halves of one table (same reduced key,
-    // same golden run): the merge must interleave their entries.
-    ResultStore evens, odds;
-    ResultStore::SectionTable half;
-    half.spec = Json::object();
-    half.goldenCycles = 100;
-    half.entries[0] = sectionDataToJson(sampleSection(0));
-    half.entries[2] = sectionDataToJson(sampleSection(2));
-    evens.putSectionTable("rk", half);
-    half.entries.clear();
-    half.entries[1] = sectionDataToJson(sampleSection(1));
-    half.entries[3] = sectionDataToJson(sampleSection(3));
-    odds.putSectionTable("rk", half);
-
-    ResultStore merged;
-    merged.merge(evens);
-    const auto stats = merged.merge(odds);
-    EXPECT_EQ(stats.sectionEntriesAdded, 2u);
-    const auto hit = merged.lookupSections("rk");
-    ASSERT_TRUE(hit.found);
-    ASSERT_EQ(hit.sections.size(), 4u);
-    for (unsigned i = 0; i < 4; ++i)
-        expectSameSection(sampleSection(i), hit.sections.at(i));
-}
-
 TEST_F(StoreFixture, UnrecognizedQuarantineWarnsOncePerStoreLoad)
 {
-    // Three foreign records spread over a campaign entry and two
-    // section entries must produce ONE aggregated warning naming the
-    // count — not three identical lines.
+    // Three foreign records spread over three campaign entries must
+    // produce ONE aggregated warning naming the count — not three
+    // identical lines.
     const std::string p = track(path("quarantine_dedupe"));
     {
         ResultStore store(p);
         CampaignResult r = sampleResult(false);
         r.quarantine.push_back({1, "known"});
-        store.put("k1", Json::object(), r);
-        std::vector<core::SectionData> table = {sampleSection(0, true),
-                                                sampleSection(1, true)};
-        store.putSections("rk", Json::object(), 100, table);
+        for (const char *key : {"k1", "k2", "k3"})
+            store.put(key, Json::object(), r);
         store.save();
     }
     std::string text = storeText(p);
@@ -890,14 +747,12 @@ TEST_F(StoreFixture, UnrecognizedQuarantineWarnsOncePerStoreLoad)
         ++warnings;
     EXPECT_EQ(warnings, 1u) << err;
     // Every readable record survived the skip.
-    CampaignResult out;
-    ASSERT_TRUE(loaded.lookup("k1", out));
-    ASSERT_EQ(out.quarantine.size(), 1u);
-    EXPECT_EQ(out.quarantine[0].reason, "known");
-    const auto hit = loaded.lookupSections("rk");
-    ASSERT_TRUE(hit.found);
-    ASSERT_EQ(hit.sections.at(0).quarantine.size(), 1u);
-    ASSERT_EQ(hit.sections.at(1).quarantine.size(), 1u);
+    for (const char *key : {"k1", "k2", "k3"}) {
+        CampaignResult out;
+        ASSERT_TRUE(loaded.lookup(key, out));
+        ASSERT_EQ(out.quarantine.size(), 1u);
+        EXPECT_EQ(out.quarantine[0].reason, "known");
+    }
 }
 
 // ------------------------------------------------- OutcomeJournal

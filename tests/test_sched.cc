@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -72,12 +73,38 @@ TEST(CampaignSpec, EveryFieldChangesTheKey)
     s = base;
     s.grouping.maxGroupSize = 7;
     EXPECT_NE(s.key(), k);
+    // The timeout rule moves the Timeout boundary: it is a question
+    // member, not an engine knob.
     s = base;
+    s.timeoutFactor = 5;
+    EXPECT_NE(s.key(), k);
+}
+
+TEST(CampaignSpec, EngineKnobsStayOutOfTheKeyAndTheStoredSpec)
+{
+    CampaignSpec base;
+    base.workload = "qsort";
+    CampaignSpec s = base;
+    s.checkpointInterval = 64;
+    s.maxCheckpoints = 8;
     s.earlyExit = false;
-    EXPECT_NE(s.key(), k);
-    s = base;
     s.replay = false;
-    EXPECT_NE(s.key(), k);
+    s.memChunkBytes = 256;
+    EXPECT_EQ(s.key(), base.key());
+    EXPECT_EQ(s.keyJson().dump(), base.keyJson().dump());
+    EXPECT_FALSE(s == base); // still different specs
+
+    // keyJson() is toJson() minus exactly the five knobs, the other
+    // members in the same order; toJson() keeps them for manifests.
+    Json expect = s.toJson();
+    for (const char *knob : {"checkpoint_interval", "max_checkpoints",
+                             "early_exit", "replay", "mem_chunk_bytes"}) {
+        EXPECT_TRUE(isEngineKnob(knob)) << knob;
+        EXPECT_TRUE(expect.erase(knob)) << knob;
+    }
+    EXPECT_EQ(s.keyJson().dump(), expect.dump());
+    EXPECT_FALSE(isEngineKnob("timeout_factor"));
+    EXPECT_FALSE(isEngineKnob("seed"));
 }
 
 TEST(CampaignSpec, JsonRoundTrip)
@@ -346,107 +373,18 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
 }
 
 /**
- * Engine-knob invariance at suite level: early-exit on/off and any
- * COW chunk granularity must leave every campaign OUTCOME bit-
- * identical, for jobs 1 and 4.  (Whole-store comparison is the wrong
- * tool here: the knobs are part of the spec, so the keys legitimately
- * differ — the claim is about the fault classifications.)
- */
-TEST_F(SuiteFixture, OutcomesInvariantToEarlyExitAndChunkSize)
-{
-    std::vector<CampaignSpec> base;
-    CampaignSpec s;
-    s.workload = "qsort";
-    s.structure = uarch::Structure::RegisterFile;
-    s.regs = 128;
-    s.window = 0;
-    s.sampling = core::specFixed(200);
-    s.seed = 5;
-    s.mode = CampaignSpec::Mode::Truth;
-    base.push_back(s);
-
-    s = CampaignSpec{};
-    s.workload = "fft";
-    s.structure = uarch::Structure::StoreQueue;
-    s.sqEntries = 16;
-    s.window = 0;
-    s.sampling = core::specFixed(200);
-    s.seed = 5;
-    base.push_back(s);
-
-    const auto variant = [&](bool early_exit,
-                             std::uint32_t chunk_bytes) {
-        auto specs = base;
-        for (auto &sp : specs) {
-            sp.earlyExit = early_exit;
-            sp.memChunkBytes = chunk_bytes;
-        }
-        return specs;
-    };
-    const auto runSuite = [&](std::vector<CampaignSpec> specs,
-                              unsigned jobs) {
-        SuiteOptions opts;
-        opts.jobs = jobs;
-        return SuiteScheduler(std::move(specs), opts).run();
-    };
-
-    const SuiteResult ref = runSuite(variant(true, 4096), 4);
-    const SuiteResult no_exit = runSuite(variant(false, 4096), 1);
-    const SuiteResult fine = runSuite(variant(true, 256), 4);
-    const SuiteResult coarse = runSuite(variant(true, 64 * 1024), 1);
-
-    const auto expectSameOutcomes = [&](const SuiteResult &got,
-                                        const char *what) {
-        for (std::size_t i = 0; i < base.size(); ++i) {
-            const auto &a = ref.results[i];
-            const auto &b = got.results[i];
-            EXPECT_EQ(a.merlinEstimate.counts, b.merlinEstimate.counts)
-                << what << " campaign " << i;
-            EXPECT_EQ(a.merlinSurvivorEstimate.counts,
-                      b.merlinSurvivorEstimate.counts)
-                << what << " campaign " << i;
-            EXPECT_EQ(a.initialFaults, b.initialFaults);
-            EXPECT_EQ(a.aceMasked, b.aceMasked);
-            EXPECT_EQ(a.survivors, b.survivors);
-            EXPECT_EQ(a.numGroups, b.numGroups);
-            EXPECT_EQ(a.injections, b.injections);
-            EXPECT_EQ(a.injectionRuns, b.injectionRuns);
-            ASSERT_EQ(a.survivorTruth.has_value(),
-                      b.survivorTruth.has_value());
-            if (a.survivorTruth) {
-                EXPECT_EQ(a.survivorTruth->counts,
-                          b.survivorTruth->counts)
-                    << what << " campaign " << i;
-            }
-        }
-    };
-    expectSameOutcomes(no_exit, "early-exit off");
-    expectSameOutcomes(fine, "256B chunks");
-    expectSameOutcomes(coarse, "64KB chunks");
-
-    // With the exit disabled the counter must be hard zero; enabled,
-    // the knob must be recorded as having done something somewhere.
-    std::uint64_t exits = 0;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(no_exit.results[i].earlyExits, 0u);
-        EXPECT_EQ(ref.results[i].earlyExits, fine.results[i].earlyExits)
-            << "early-exit count depends on chunk size";
-        exits += ref.results[i].earlyExits;
-    }
-    EXPECT_GT(exits, 0u);
-}
-
-/**
- * Replay-knob invariance, the acceptance grid for the golden-trace
- * fast path: replay {on,off} x early-exit {on,off} x jobs {1,4}.
- * Per knob config the serialized store must be byte-identical across
- * job counts; across knob configs every serialized campaign result
- * must be byte-identical too (the store holds outcomes only), and the
- * in-memory injection-run count must match.  earlyExits is NOT
- * compared across replay variants: a dead flip that full simulation
- * would early-exit is classified Masked by the replay shortcut without
- * ever reaching a reconvergence checkpoint, so the counter
- * legitimately differs — which is why it stays out of the store.
+ * Engine-knob invariance, the acceptance grid for the content key:
+ * replay {on,off} x early-exit {on,off}, plus checkpoint_interval
+ * {64, 512, 4096}, max_checkpoints {8, 128} and mem_chunk_bytes
+ * {256, 4096, 65536}, each at jobs {1, 4}.  The knobs never change an
+ * outcome and are not part of the key or the stored spec, so every
+ * run must write the SAME store bytes, and the in-memory
+ * injection-run count must match.  A resume under other knobs then
+ * serves every campaign from the store.  earlyExits is NOT compared
+ * across variants: a dead flip that full simulation would early-exit
+ * is classified Masked by the replay shortcut without ever reaching a
+ * reconvergence checkpoint, and the checkpoint cadence decides where
+ * reconvergence can be seen — which is why it stays out of the store.
  */
 TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
 {
@@ -484,42 +422,60 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
     s.checkpointInterval = 64;
     base.push_back(s);
 
+    // Unset optionals keep each base spec's own value.
     struct Config
     {
         bool replay;
         bool earlyExit;
+        std::optional<Cycle> checkpointInterval;
+        std::optional<unsigned> maxCheckpoints;
+        std::optional<std::uint32_t> memChunkBytes;
         const char *name;
     };
     const Config configs[] = {
-        {true, true, "r1e1"},
-        {true, false, "r1e0"},
-        {false, true, "r0e1"},
-        {false, false, "r0e0"},
+        {true, true, {}, {}, {}, "r1e1"},
+        {true, false, {}, {}, {}, "r1e0"},
+        {false, true, {}, {}, {}, "r0e1"},
+        {false, false, {}, {}, {}, "r0e0"},
+        {true, true, 64, 8, 256, "r1e1_c64_m8_k256"},
+        {true, true, 512, 128, 65536, "r1e1_c512_m128_k64k"},
+        {false, true, 4096, 8, 4096, "r0e1_c4096_m8_k4k"},
+        {true, false, 4096, 128, 256, "r1e0_c4096_m128_k256"},
     };
-
-    std::vector<SuiteResult> results;
-    for (const Config &cfg : configs) {
+    const auto variant = [&](const Config &cfg) {
         auto specs = base;
         for (auto &sp : specs) {
             sp.replay = cfg.replay;
             sp.earlyExit = cfg.earlyExit;
+            sp.checkpointInterval =
+                cfg.checkpointInterval.value_or(sp.checkpointInterval);
+            sp.maxCheckpoints =
+                cfg.maxCheckpoints.value_or(sp.maxCheckpoints);
+            sp.memChunkBytes = cfg.memChunkBytes.value_or(sp.memChunkBytes);
         }
-        SuiteOptions opts;
-        opts.jobs = 1;
-        opts.storePath =
-            storePath((std::string(cfg.name) + "_j1").c_str());
-        SuiteScheduler(specs, opts).run();
+        return specs;
+    };
 
-        opts.jobs = 4;
-        opts.storePath =
-            storePath((std::string(cfg.name) + "_j4").c_str());
-        results.push_back(SuiteScheduler(specs, opts).run());
-
-        const std::string j1 =
-            storeBytes(created_[created_.size() - 2]);
-        EXPECT_FALSE(j1.empty());
-        EXPECT_EQ(j1, storeBytes(created_.back()))
-            << cfg.name << ": jobs 1 vs 4 stores differ";
+    std::vector<SuiteResult> results;
+    std::string refBytes;
+    for (const Config &cfg : configs) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SuiteOptions opts;
+            opts.jobs = jobs;
+            opts.storePath = storePath(
+                (std::string(cfg.name) + "_j" + std::to_string(jobs))
+                    .c_str());
+            SuiteResult r = SuiteScheduler(variant(cfg), opts).run();
+            const std::string bytes = storeBytes(opts.storePath);
+            EXPECT_FALSE(bytes.empty());
+            if (refBytes.empty())
+                refBytes = bytes;
+            EXPECT_EQ(bytes, refBytes)
+                << cfg.name << " jobs " << jobs
+                << ": store differs from r1e1 jobs 1";
+            if (jobs == 4)
+                results.push_back(std::move(r));
+        }
     }
 
     const SuiteResult &ref = results[0];
@@ -530,52 +486,62 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
             EXPECT_EQ(io::resultToJson(a).dump(),
                       io::resultToJson(b).dump())
                 << configs[c].name << " campaign " << i;
-            EXPECT_EQ(a.merlinEstimate.counts, b.merlinEstimate.counts)
+            EXPECT_EQ(a.injectionRuns, b.injectionRuns)
                 << configs[c].name << " campaign " << i;
-            EXPECT_EQ(a.merlinSurvivorEstimate.counts,
-                      b.merlinSurvivorEstimate.counts)
-                << configs[c].name << " campaign " << i;
-            EXPECT_EQ(a.initialFaults, b.initialFaults);
-            EXPECT_EQ(a.survivors, b.survivors);
-            EXPECT_EQ(a.injections, b.injections);
-            EXPECT_EQ(a.injectionRuns, b.injectionRuns);
-            ASSERT_EQ(a.survivorTruth.has_value(),
-                      b.survivorTruth.has_value());
-            if (a.survivorTruth) {
-                EXPECT_EQ(a.survivorTruth->counts,
-                          b.survivorTruth->counts)
-                    << configs[c].name << " campaign " << i;
-            }
         }
     }
 
-    // The replay counters record what actually happened: with the
-    // knob on every injection run was consulted (shortcut or
-    // handoff); with it off the counters are hard zero.  Campaign
-    // survivors are by construction faults whose entry IS read (the
-    // ACE-like analysis already dropped the dead flips without
-    // simulating them), so here the trace mostly hands off — the
-    // Masked shortcut itself is pinned by the runner-level tests.
+    // With the exit disabled the counter must be hard zero; enabled,
+    // the knob must be recorded as having done something somewhere.
+    // The replay counters likewise record what actually happened:
+    // with the knob on every injection run was consulted (shortcut or
+    // handoff); with it off they are hard zero.  Campaign survivors
+    // are by construction faults whose entry IS read (the ACE-like
+    // analysis already dropped the dead flips without simulating
+    // them), so here the trace mostly hands off — the Masked shortcut
+    // itself is pinned by the runner-level tests.
     std::uint64_t consulted = 0;
     std::uint64_t skipped = 0;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        for (std::size_t c = 0; c < 2; ++c) { // replay-on configs
-            const auto &r = results[c].results[i];
-            EXPECT_EQ(r.replayMasked + r.replayHandoffs,
-                      r.injectionRuns)
-                << configs[c].name << " campaign " << i;
-            consulted += r.replayMasked + r.replayHandoffs;
-            skipped += r.replayCyclesSkipped;
+    for (std::size_t c = 0; c < results.size(); ++c) {
+        std::uint64_t exits = 0;
+        for (const core::CampaignResult &r : results[c].results) {
+            exits += r.earlyExits;
+            if (configs[c].replay) {
+                EXPECT_EQ(r.replayMasked + r.replayHandoffs,
+                          r.injectionRuns)
+                    << configs[c].name;
+                consulted += r.replayMasked + r.replayHandoffs;
+                skipped += r.replayCyclesSkipped;
+            } else {
+                EXPECT_EQ(r.replayMasked, 0u) << configs[c].name;
+                EXPECT_EQ(r.replayHandoffs, 0u) << configs[c].name;
+                EXPECT_EQ(r.replayCyclesSkipped, 0u) << configs[c].name;
+            }
         }
-        for (std::size_t c = 2; c < 4; ++c) { // replay-off configs
-            const auto &r = results[c].results[i];
-            EXPECT_EQ(r.replayMasked, 0u) << configs[c].name;
-            EXPECT_EQ(r.replayHandoffs, 0u) << configs[c].name;
-            EXPECT_EQ(r.replayCyclesSkipped, 0u) << configs[c].name;
-        }
+        if (configs[c].earlyExit)
+            EXPECT_GT(exits, 0u) << configs[c].name;
+        else
+            EXPECT_EQ(exits, 0u) << configs[c].name;
     }
     EXPECT_GT(consulted, 0u);
     EXPECT_GT(skipped, 0u) << "replay never skipped any head cycles";
+
+    // A resume under other knobs is a whole-store hit: nothing is
+    // simulated and the store keeps its bytes.
+    obs::Counter &injectRuns =
+        obs::Registry::global().counter("inject.runs");
+    const std::uint64_t runs0 = injectRuns.total();
+    SuiteOptions opts;
+    opts.jobs = 4;
+    opts.reuseCached = true;
+    opts.storePath = created_.front();
+    const SuiteResult warm =
+        SuiteScheduler(variant(configs[4]), opts).run();
+    EXPECT_EQ(warm.campaignsRun, 0u);
+    for (std::size_t i = 0; i < base.size(); ++i)
+        EXPECT_TRUE(warm.cached[i]) << "campaign " << i;
+    EXPECT_EQ(injectRuns.total() - runs0, 0u);
+    EXPECT_EQ(storeBytes(opts.storePath), refBytes);
 }
 
 TEST_F(SuiteFixture, ResumeServesCachedResultsWithoutRerunning)
@@ -603,7 +569,7 @@ TEST_F(SuiteFixture, ResumeServesCachedResultsWithoutRerunning)
     ASSERT_TRUE(store.load());
     core::CampaignResult doctored = first.results[0];
     doctored.injections = 424242;
-    store.put(specs[0].key(), specs[0].toJson(), doctored);
+    store.put(specs[0].key(), specs[0].keyJson(), doctored);
     store.save();
 
     SuiteResult third = SuiteScheduler(specs, opts).run();
@@ -629,7 +595,7 @@ TEST_F(SuiteFixture, PartialStoreResumesOnlyTheMissingCampaigns)
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(store.lookup(specs[static_cast<std::size_t>(i)].key(), r));
         partial.put(specs[static_cast<std::size_t>(i)].key(),
-                    specs[static_cast<std::size_t>(i)].toJson(), r);
+                    specs[static_cast<std::size_t>(i)].keyJson(), r);
     }
     partial.save();
 
@@ -643,190 +609,6 @@ TEST_F(SuiteFixture, PartialStoreResumesOnlyTheMissingCampaigns)
         EXPECT_EQ(resumed.results[i].merlinEstimate.counts,
                   full.results[i].merlinEstimate.counts);
     }
-}
-
-// --------------------------------------------- sectioned campaigns
-
-/**
- * The section-eligible pair (Estimate mode, one representative per
- * group): fft on the register file and on the store queue.
- */
-std::vector<CampaignSpec>
-sectionSpecs()
-{
-    const auto all = testSpecs();
-    return {all[1], all[2]};
-}
-
-/**
- * Turning sectioning on must not move a byte of any campaign entry:
- * the composed result of a cold sectioned run equals the unsectioned
- * run's, and ineligible specs (Truth, GroupingOnly) fall back to the
- * plain path untouched.
- */
-TEST_F(SuiteFixture, ColdSectionedRunComposesTheUnsectionedResults)
-{
-    const auto specs = testSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.storePath = storePath("sec_off");
-    SuiteScheduler(specs, opts).run();
-
-    opts.sections = 4;
-    opts.storePath = storePath("sec_on");
-    const SuiteResult sectioned = SuiteScheduler(specs, opts).run();
-
-    io::ResultStore off(created_[0]), on(created_[1]);
-    ASSERT_TRUE(off.load());
-    ASSERT_TRUE(on.load());
-    // Campaign entries byte-identical; only the sectioned store grows
-    // section tables (one per eligible spec).
-    EXPECT_EQ(off.toJson().at("campaigns").dump(2),
-              on.toJson().at("campaigns").dump(2));
-    EXPECT_EQ(off.sectionTables().size(), 0u);
-    EXPECT_EQ(on.sectionTables().size(), 2u);
-
-    // A cold run consults no cache: eligible specs miss every
-    // section, ineligible specs stay out of the accounting.
-    ASSERT_EQ(sectioned.sectionsMissed.size(), specs.size());
-    EXPECT_EQ(sectioned.sectionsMissed[0], 0u); // Truth: ineligible
-    EXPECT_EQ(sectioned.sectionsMissed[1], 4u);
-    EXPECT_EQ(sectioned.sectionsMissed[2], 4u);
-    EXPECT_EQ(sectioned.sectionsMissed[3], 0u); // GroupingOnly
-    EXPECT_EQ(sectioned.sectionsHit[1], 0u);
-}
-
-/**
- * A whole-campaign cache hit under --sections counts as an
- * all-sections hit — which is how a store written without --sections
- * (no section tables at all) is promoted into the sectioned
- * accounting.
- */
-TEST_F(SuiteFixture, FullEntryHitPromotesToAllSectionsHit)
-{
-    const auto specs = testSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.reuseCached = true;
-    opts.storePath = storePath("promote");
-    SuiteScheduler(specs, opts).run(); // unsectioned: no tables
-
-    opts.sections = 4;
-    const SuiteResult warm = SuiteScheduler(specs, opts).run();
-    EXPECT_EQ(warm.campaignsRun, 0u);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        EXPECT_TRUE(warm.cached[i]);
-        EXPECT_EQ(warm.sectionsMissed[i], 0u);
-    }
-    EXPECT_EQ(warm.sectionsHit[0], 0u); // Truth: ineligible
-    EXPECT_EQ(warm.sectionsHit[1], 4u);
-    EXPECT_EQ(warm.sectionsHit[2], 4u);
-    EXPECT_EQ(warm.sectionsHit[3], 0u); // GroupingOnly
-}
-
-/**
- * The tentpole acceptance grid: doctor a cold sectioned store down to
- * a partial table (campaign entries gone, even-indexed sections
- * gone), resume, and require (a) only the missing sections'
- * representatives re-ran, (b) the composed result and the final store
- * BYTES equal the cold run's — for jobs {1,4} x sections {1,4,16}.
- */
-TEST_F(SuiteFixture, PartialSectionHitsComposeByteIdenticalStores)
-{
-    const auto specs = sectionSpecs();
-    obs::Counter &injectRuns =
-        obs::Registry::global().counter("inject.runs");
-    for (const unsigned jobs : {1u, 4u}) {
-        for (const unsigned S : {1u, 4u, 16u}) {
-            const std::string name = "grid_j" + std::to_string(jobs) +
-                                     "_s" + std::to_string(S);
-            SuiteOptions opts;
-            opts.jobs = jobs;
-            opts.sections = S;
-            opts.storePath = storePath(name.c_str());
-
-            const std::uint64_t runs0 = injectRuns.total();
-            const SuiteResult cold = SuiteScheduler(specs, opts).run();
-            const std::uint64_t coldRuns = injectRuns.total() - runs0;
-            const std::string coldBytes = storeBytes(opts.storePath);
-            ASSERT_FALSE(coldBytes.empty());
-
-            // Doctor the store into a partial-hit shape.
-            io::ResultStore store(opts.storePath);
-            ASSERT_TRUE(store.load());
-            for (const CampaignSpec &sp : specs)
-                ASSERT_TRUE(store.erase(sp.key()));
-            std::vector<std::pair<std::string,
-                                  io::ResultStore::SectionTable>>
-                doctored;
-            for (const auto &[key, table] : store.sectionTables()) {
-                auto t = table;
-                for (unsigned s = 0; s < S; s += 2)
-                    t.entries.erase(s);
-                doctored.emplace_back(key, std::move(t));
-            }
-            ASSERT_EQ(doctored.size(), specs.size());
-            for (auto &[key, t] : doctored)
-                store.putSectionTable(key, std::move(t));
-            store.save();
-
-            opts.reuseCached = true;
-            const std::uint64_t runs1 = injectRuns.total();
-            const SuiteResult warm = SuiteScheduler(specs, opts).run();
-            const std::uint64_t warmRuns = injectRuns.total() - runs1;
-
-            EXPECT_EQ(warm.campaignsRun, specs.size());
-            const std::uint32_t hits = S / 2; // odd indices survived
-            for (std::size_t i = 0; i < specs.size(); ++i) {
-                EXPECT_EQ(warm.sectionsHit[i], hits) << name;
-                EXPECT_EQ(warm.sectionsMissed[i], S - hits) << name;
-                EXPECT_EQ(warm.results[i].merlinEstimate.counts,
-                          cold.results[i].merlinEstimate.counts)
-                    << name << " campaign " << i;
-            }
-            // Strictly fewer injections when any section was served
-            // (S == 1 degenerates to a full re-run)...
-            if (S > 1) {
-                EXPECT_LT(warmRuns, coldRuns) << name;
-            } else {
-                EXPECT_EQ(warmRuns, coldRuns) << name;
-            }
-            // ...yet the final store is the cold store, byte for byte.
-            EXPECT_EQ(storeBytes(opts.storePath), coldBytes) << name;
-        }
-    }
-}
-
-/**
- * A stored table cut from a different golden run must be refused, not
- * silently composed into nonsense.
- */
-TEST_F(SuiteFixture, MismatchedGoldenRunFailsTheSectionedResume)
-{
-    const auto specs = sectionSpecs();
-    SuiteOptions opts;
-    opts.jobs = 2;
-    opts.sections = 4;
-    opts.storePath = storePath("golden_mismatch");
-    SuiteScheduler(specs, opts).run();
-
-    io::ResultStore store(opts.storePath);
-    ASSERT_TRUE(store.load());
-    for (const CampaignSpec &sp : specs)
-        ASSERT_TRUE(store.erase(sp.key()));
-    std::vector<std::pair<std::string, io::ResultStore::SectionTable>>
-        doctored;
-    for (const auto &[key, table] : store.sectionTables()) {
-        auto t = table;
-        t.goldenCycles += 1;
-        doctored.emplace_back(key, std::move(t));
-    }
-    for (auto &[key, t] : doctored)
-        store.putSectionTable(key, std::move(t));
-    store.save();
-
-    opts.reuseCached = true;
-    EXPECT_THROW(SuiteScheduler(specs, opts).run(), FatalError);
 }
 
 TEST_F(SuiteFixture, UnknownWorkloadFailsTheSuite)

@@ -58,6 +58,13 @@ TEST(CampaignService, SingleFlightCoalescesIdenticalSpecs)
 
     CampaignService svc(memoryConfig(2, /*paused=*/true));
     const CampaignSpec spec = smallSpec();
+    // The last client's spec differs only in engine knobs: same key,
+    // so it must land on the same job.
+    CampaignSpec knobs = spec;
+    knobs.earlyExit = false;
+    knobs.replay = false;
+    knobs.memChunkBytes = 256;
+    ASSERT_EQ(knobs.key(), spec.key());
 
     std::vector<CampaignService::TicketPtr> tickets(kClients);
     {
@@ -68,7 +75,8 @@ TEST(CampaignService, SingleFlightCoalescesIdenticalSpecs)
             threads.emplace_back([&, i] {
                 CampaignService::SubmitOptions opts;
                 opts.client = "client-" + std::to_string(i);
-                tickets[i] = svc.submit(spec, opts);
+                tickets[i] = svc.submit(
+                    i == kClients - 1 ? knobs : spec, opts);
             });
         }
         for (auto &t : threads)
@@ -128,9 +136,23 @@ TEST(CampaignService, WarmCacheServesRepeatSubmissionWithoutRunning)
     EXPECT_EQ(io::resultToJson(warm->outcome().result).dump(),
               io::resultToJson(cold->outcome().result).dump());
 
+    // A spec that differs only in engine knobs is the same question:
+    // another store hit, still nothing simulated.
+    CampaignSpec knobs = spec;
+    knobs.earlyExit = false;
+    knobs.replay = false;
+    knobs.memChunkBytes = 65536;
+    auto variant = svc.submit(knobs, opts);
+    ASSERT_NE(variant, nullptr);
+    ASSERT_EQ(variant->wait(), CampaignService::State::Done);
+    EXPECT_TRUE(variant->outcome().cached);
+    EXPECT_EQ(injectRuns.total() - runs0, 0u);
+    EXPECT_EQ(io::resultToJson(variant->outcome().result).dump(),
+              io::resultToJson(cold->outcome().result).dump());
+
     const auto stats = svc.stats();
     EXPECT_EQ(stats.executed, 1u);
-    EXPECT_EQ(stats.cacheHits, 1u);
+    EXPECT_EQ(stats.cacheHits, 2u);
 
     // keyState: a settled key reads Done (from the store).
     CampaignService::State st;
