@@ -64,8 +64,7 @@ runSide(const std::vector<std::string> &names, unsigned l1d_kb,
     io::ResultStore store;
     for (std::size_t i = 0; i < specs.size(); ++i) {
         if (suite.selected[i])
-            store.put(specs[i].key(), specs[i].keyJson(),
-                      suite.results[i]);
+            sched::putResult(store, specs[i], suite.results[i]);
     }
     return store;
 }

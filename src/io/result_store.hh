@@ -6,8 +6,8 @@
  * keyed by a content hash of the producing CampaignSpec's
  * outcome-determining members (CampaignSpec::keyJson, which is also
  * the spec an entry records: engine knobs such as early_exit or
- * mem_chunk_bytes are in neither).  Suite runs get three things from
- * it:
+ * mem_chunk_bytes are in neither; sched::putResult writes both).
+ * Suite runs get three things from it:
  *
  *   --out results.json   the suite's deliverable (all class counts,
  *                        group models and homogeneity, one entry per

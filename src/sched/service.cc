@@ -208,7 +208,7 @@ CampaignService::spillShardLocked(const std::string &shard_dir,
     io::ResultStore shard(
         (std::filesystem::path(shard_dir) / (spec.key() + ".json"))
             .string());
-    shard.put(spec.key(), spec.keyJson(), res);
+    putResult(shard, spec, res);
     shard.save();
 }
 
@@ -643,7 +643,7 @@ CampaignService::runJob(Job &job)
         // Persist after EVERY campaign: an interrupted service
         // resumes from the completed prefix.
         std::lock_guard<std::mutex> lock(storeMu_);
-        store_.put(spec.key(), spec.keyJson(), res);
+        putResult(store_, spec, res);
         store_.save();
         for (const std::string &dir : shardDirs)
             spillShardLocked(dir, spec, res);

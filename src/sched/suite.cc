@@ -273,6 +273,13 @@ CampaignSpec::key() const
     return io::contentKey(keyJson());
 }
 
+void
+putResult(io::ResultStore &store, const CampaignSpec &spec,
+          const core::CampaignResult &result)
+{
+    store.put(spec.key(), spec.keyJson(), result);
+}
+
 bool
 CampaignSpec::operator==(const CampaignSpec &o) const
 {

@@ -43,6 +43,11 @@
 #include "sched/selector.hh"
 #include "workloads/workloads.hh"
 
+namespace merlin::io
+{
+class ResultStore;
+} // namespace merlin::io
+
 namespace merlin::sched
 {
 
@@ -139,6 +144,15 @@ bool isSpecMember(const std::string &name);
 
 /** Is @p name an engine knob: a spec member key() leaves out? */
 bool isEngineKnob(const std::string &name);
+
+/**
+ * Store @p result under @p spec's key, recording the spec as the key
+ * sees it (keyJson(), no engine knobs) so a stored spec always hashes
+ * to its key.  Write campaigns into a store through this, not through
+ * ResultStore::put.
+ */
+void putResult(io::ResultStore &store, const CampaignSpec &spec,
+               const core::CampaignResult &result);
 
 struct SuiteOptions
 {

@@ -71,13 +71,6 @@ makeResult(std::uint64_t masked, std::uint64_t sdc, std::uint64_t due,
     return r;
 }
 
-void
-putSpec(ResultStore &store, const CampaignSpec &spec,
-        const CampaignResult &res)
-{
-    store.put(spec.key(), spec.keyJson(), res);
-}
-
 std::string
 fileBytes(const std::string &path)
 {
@@ -115,8 +108,8 @@ class MergeFixture : public ::testing::Test
 TEST_F(MergeFixture, DisjointStoresUnion)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(b, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(b, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
 
     const auto stats = a.merge(b);
     EXPECT_EQ(stats.added, 1u);
@@ -131,9 +124,9 @@ TEST_F(MergeFixture, OverlappingIdenticalPayloadsAreIdempotent)
     ResultStore a, b;
     const CampaignSpec shared = makeSpec("qsort", 64);
     const CampaignResult res = makeResult(80, 15, 5, 100, 20);
-    putSpec(a, shared, res);
-    putSpec(b, shared, res);
-    putSpec(b, makeSpec("sha", 64), makeResult(60, 30, 10, 100, 30));
+    putResult(a, shared, res);
+    putResult(b, shared, res);
+    putResult(b, makeSpec("sha", 64), makeResult(60, 30, 10, 100, 30));
 
     const auto stats = a.merge(b);
     EXPECT_EQ(stats.added, 1u);
@@ -146,8 +139,8 @@ TEST_F(MergeFixture, ConflictingPayloadsAreFatalUnlessForced)
 {
     const CampaignSpec shared = makeSpec("qsort", 64);
     ResultStore a, b;
-    putSpec(a, shared, makeResult(80, 15, 5, 100, 20));
-    putSpec(b, shared, makeResult(80, 15, 5, 100, 9999));
+    putResult(a, shared, makeResult(80, 15, 5, 100, 20));
+    putResult(b, shared, makeResult(80, 15, 5, 100, 9999));
 
     EXPECT_THROW(a.merge(b), FatalError);
 
@@ -162,7 +155,7 @@ TEST_F(MergeFixture, MergeOrderDoesNotChangeTheBytes)
 {
     const auto mk = [&](const char *wl, unsigned kb) {
         ResultStore s;
-        putSpec(s, makeSpec(wl, kb), makeResult(80, 15, 5, 100, 20));
+        putResult(s, makeSpec(wl, kb), makeResult(80, 15, 5, 100, 20));
         return s;
     };
     const ResultStore s1 = mk("qsort", 64);
@@ -261,10 +254,10 @@ TEST(SuiteDiff, JoinsAcrossTheMaskedAxisAndReportsOneSiders)
 {
     ResultStore a, b;
     // qsort pairs across the axis; fft exists only in A, sha only in B.
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
-    putSpec(b, makeSpec("sha", 16), makeResult(60, 30, 10, 100, 30));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(a, makeSpec("fft", 64), makeResult(70, 20, 10, 100, 25));
+    putResult(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putResult(b, makeSpec("sha", 16), makeResult(60, 30, 10, 100, 30));
 
     DiffOptions opts;
     opts.axis = {"l1d_kb"};
@@ -339,10 +332,10 @@ TEST(SamplingMargin, ZeroFaultSideHasNoMarginNotZero)
 TEST(SamplingMargin, ZeroFaultPairPropagatesAbsenceIntoTheDiff)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
     CampaignResult empty = makeResult(0, 0, 0, 100, 0);
     empty.initialFaults = 0; // the zero-fault side
-    putSpec(b, makeSpec("qsort", 16), empty);
+    putResult(b, makeSpec("qsort", 16), empty);
 
     DiffOptions opts;
     opts.axis = {"l1d_kb"};
@@ -364,9 +357,9 @@ TEST(SamplingMargin, ZeroFaultPairPropagatesAbsenceIntoTheDiff)
 TEST(SuiteDiff, EmptyAxisMeansExactJoin)
 {
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(b, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(b, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
 
     const SuiteDiffResult diff = SuiteDiff(a, b, {}).run();
     ASSERT_EQ(diff.deltas.size(), 1u);
@@ -403,9 +396,9 @@ TEST(SuiteDiff, AmbiguousJoinWithinOneStoreIsFatal)
     // Store A itself contains the sweep: qsort at 64 AND 32 KB both
     // collapse onto one join key once l1d_kb is masked.
     ResultStore a, b;
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(a, makeSpec("qsort", 32), makeResult(75, 20, 5, 100, 22));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(a, makeSpec("qsort", 32), makeResult(75, 20, 5, 100, 22));
+    putResult(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
 
     DiffOptions opts;
     opts.axis = {"l1d_kb"};
@@ -420,8 +413,8 @@ TEST(SuiteDiff, MultiKnobAxisMasksEveryListedMember)
     CampaignSpec sa = makeSpec("qsort", 64);
     CampaignSpec sb = makeSpec("qsort", 16);
     sb.seed = 9; // second swept knob
-    putSpec(a, sa, makeResult(80, 15, 5, 100, 20));
-    putSpec(b, sb, makeResult(70, 25, 5, 100, 30));
+    putResult(a, sa, makeResult(80, 15, 5, 100, 20));
+    putResult(b, sb, makeResult(70, 25, 5, 100, 30));
 
     DiffOptions one;
     one.axis = {"l1d_kb"};
@@ -441,12 +434,12 @@ TEST(SuiteDiff, MultiKnobAxisMasksEveryListedMember)
 void
 buildSweep(ResultStore &a, ResultStore &b)
 {
-    putSpec(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
-    putSpec(a, makeSpec("fft", 64), makeResult(70, 20, 10, 120, 25));
-    putSpec(a, makeSpec("sha", 64), makeResult(90, 8, 2, 80, 12));
-    putSpec(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
-    putSpec(b, makeSpec("fft", 16), makeResult(60, 30, 10, 120, 33));
-    putSpec(b, makeSpec("sha", 16), makeResult(85, 12, 3, 80, 16));
+    putResult(a, makeSpec("qsort", 64), makeResult(80, 15, 5, 100, 20));
+    putResult(a, makeSpec("fft", 64), makeResult(70, 20, 10, 120, 25));
+    putResult(a, makeSpec("sha", 64), makeResult(90, 8, 2, 80, 12));
+    putResult(b, makeSpec("qsort", 16), makeResult(70, 25, 5, 100, 30));
+    putResult(b, makeSpec("fft", 16), makeResult(60, 30, 10, 120, 33));
+    putResult(b, makeSpec("sha", 16), makeResult(85, 12, 3, 80, 16));
 }
 
 TEST(DiffInvariants, DiffAgainstItselfIsAllZero)
@@ -540,8 +533,7 @@ TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
         SuiteResult suite = SuiteScheduler(specs, opts).run();
         ResultStore store;
         for (std::size_t i = 0; i < specs.size(); ++i)
-            store.put(specs[i].key(), specs[i].keyJson(),
-                      suite.results[i]);
+            putResult(store, specs[i], suite.results[i]);
         return store;
     };
 
@@ -603,8 +595,8 @@ TEST(DiffGolden, ReportBytesMatchCommittedGolden)
     opts.confidence = 0.9;
     // An unpaired campaign on each side, so the golden locks the
     // only_a/only_b shape too.
-    putSpec(a, makeSpec("susan", 64), makeResult(88, 9, 3, 90, 14));
-    putSpec(b, makeSpec("jpeg", 16), makeResult(66, 28, 6, 90, 28));
+    putResult(a, makeSpec("susan", 64), makeResult(88, 9, 3, 90, 14));
+    putResult(b, makeSpec("jpeg", 16), makeResult(66, 28, 6, 90, 28));
 
     const std::string actual =
         SuiteDiff(a, b, opts).run().toJson().dump(2) + "\n";

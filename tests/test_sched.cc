@@ -380,11 +380,12 @@ TEST_F(SuiteFixture, ByteIdenticalAcrossJobsAndSpecOrder)
  * outcome and are not part of the key or the stored spec, so every
  * run must write the SAME store bytes, and the in-memory
  * injection-run count must match.  A resume under other knobs then
- * serves every campaign from the store.  earlyExits is NOT compared
- * across variants: a dead flip that full simulation would early-exit
- * is classified Masked by the replay shortcut without ever reaching a
- * reconvergence checkpoint, and the checkpoint cadence decides where
- * reconvergence can be seen — which is why it stays out of the store.
+ * serves every campaign from the store.  earlyExits is compared only
+ * between variants that differ in mem_chunk_bytes alone: a dead flip
+ * that full simulation would early-exit is classified Masked by the
+ * replay shortcut without ever reaching a reconvergence checkpoint,
+ * and the checkpoint cadence decides where reconvergence can be seen
+ * — which is why the counter stays out of the store.
  */
 TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
 {
@@ -441,6 +442,7 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
         {true, true, 512, 128, 65536, "r1e1_c512_m128_k64k"},
         {false, true, 4096, 8, 4096, "r0e1_c4096_m8_k4k"},
         {true, false, 4096, 128, 256, "r1e0_c4096_m128_k256"},
+        {true, true, {}, {}, 256, "r1e1_k256"},
     };
     const auto variant = [&](const Config &cfg) {
         auto specs = base;
@@ -526,6 +528,29 @@ TEST_F(SuiteFixture, OutcomesInvariantToReplayEarlyExitAndJobs)
     EXPECT_GT(consulted, 0u);
     EXPECT_GT(skipped, 0u) << "replay never skipped any head cycles";
 
+    // The chunk granularity only decides how snapshot memory is
+    // copied, so a campaign whose spec differs from r1e1's in
+    // mem_chunk_bytes alone must exit early exactly as often.
+    std::size_t chunkOnly = 0;
+    const auto refSpecs = variant(configs[0]);
+    for (std::size_t c = 1; c < results.size(); ++c) {
+        const auto specs = variant(configs[c]);
+        for (std::size_t i = 0; i < base.size(); ++i) {
+            CampaignSpec sp = specs[i];
+            sp.memChunkBytes = refSpecs[i].memChunkBytes;
+            if (sp.toJson().dump() != refSpecs[i].toJson().dump())
+                continue;
+            ++chunkOnly;
+            EXPECT_EQ(results[c].results[i].earlyExits,
+                      ref.results[i].earlyExits)
+                << configs[c].name << " campaign " << i
+                << ": early-exit count depends on chunk size";
+        }
+    }
+    // r1e1_k256 for every campaign, r1e1_c512_m128_k64k for the two
+    // at the default checkpoint cadence.
+    EXPECT_EQ(chunkOnly, base.size() + 2);
+
     // A resume under other knobs is a whole-store hit: nothing is
     // simulated and the store keeps its bytes.
     obs::Counter &injectRuns =
@@ -569,7 +594,7 @@ TEST_F(SuiteFixture, ResumeServesCachedResultsWithoutRerunning)
     ASSERT_TRUE(store.load());
     core::CampaignResult doctored = first.results[0];
     doctored.injections = 424242;
-    store.put(specs[0].key(), specs[0].keyJson(), doctored);
+    putResult(store, specs[0], doctored);
     store.save();
 
     SuiteResult third = SuiteScheduler(specs, opts).run();
@@ -594,8 +619,7 @@ TEST_F(SuiteFixture, PartialStoreResumesOnlyTheMissingCampaigns)
     core::CampaignResult r;
     for (int i = 0; i < 2; ++i) {
         ASSERT_TRUE(store.lookup(specs[static_cast<std::size_t>(i)].key(), r));
-        partial.put(specs[static_cast<std::size_t>(i)].key(),
-                    specs[static_cast<std::size_t>(i)].keyJson(), r);
+        putResult(partial, specs[static_cast<std::size_t>(i)], r);
     }
     partial.save();
 
