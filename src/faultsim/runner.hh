@@ -28,6 +28,11 @@
  * from cycle 0 — on average that skips half the pre-fault execution.
  * Snapshots are copy-on-write (O(dirty state) to capture), so the
  * default checkpoint grid is much denser than the seed engine's.
+ * A GoldenRun is immutable once captured and does not depend on the
+ * target structure, so campaigns of every structure of one program and
+ * core config share it (core::GoldenArtifact); inject() only reads it.
+ * Campaigns that never inject capture it with checkpointing and replay
+ * off.
  *
  * Early exit: after the flip, whenever the injected core reaches a
  * golden checkpoint cycle its state is compared against that snapshot

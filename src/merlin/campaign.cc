@@ -6,6 +6,7 @@
 #include "base/logging.hh"
 #include "base/threadpool.hh"
 #include "obs/clock.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 
 namespace merlin::core
@@ -30,7 +31,58 @@ entriesOf(uarch::Structure s, const uarch::CoreConfig &cfg)
     panic("bad structure");
 }
 
+/** The harness options a campaign under @p cfg injects with. */
+faultsim::RunnerOptions
+runnerOptionsOf(const CampaignConfig &cfg)
+{
+    faultsim::RunnerOptions ropts;
+    ropts.checkpointInterval = cfg.checkpointInterval;
+    ropts.maxCheckpoints = cfg.maxCheckpoints;
+    ropts.earlyExit = cfg.earlyExit;
+    ropts.replay = cfg.replay;
+    ropts.timeoutFactor = cfg.timeoutFactor;
+    ropts.wallClockLimit = cfg.injectWallLimit;
+    ropts.quarantine = cfg.quarantineFail
+                           ? faultsim::QuarantinePolicy::Fail
+                           : faultsim::QuarantinePolicy::Continue;
+    ropts.injectHook = cfg.injectHook;
+    return ropts;
+}
+
 } // namespace
+
+std::shared_ptr<const GoldenArtifact>
+GoldenArtifact::build(const isa::Program &prog, const CampaignConfig &cfg,
+                      bool grouping_only)
+{
+    static obs::Counter &runs =
+        obs::Registry::global().counter("golden.runs");
+    faultsim::RunnerOptions ropts = runnerOptionsOf(cfg);
+    if (grouping_only) {
+        // Nothing will resume from a checkpoint or consult the trace.
+        ropts.checkpointInterval = 0;
+        ropts.replay = false;
+    }
+    const InjectionRunner runner(prog, cfg.core, ropts);
+
+    std::shared_ptr<GoldenArtifact> a(new GoldenArtifact);
+    const obs::TimePoint t0 = obs::now();
+    a->profiler_ = std::make_unique<profile::AceProfiler>(
+        cfg.core.numPhysIntRegs, cfg.core.sqEntries,
+        cfg.core.l1d.totalWords());
+    a->golden_ =
+        std::make_shared<const GoldenRun>(runner.golden(a->profiler_.get()));
+    a->seconds_ = obs::secondsSince(t0);
+    runs.add();
+    return a;
+}
+
+const profile::StructureProfile &
+GoldenArtifact::profile(uarch::Structure s) const
+{
+    profiler_->finalize(s);
+    return profiler_->profile(s);
+}
 
 ClassCounts
 CampaignResult::fullTruth() const
@@ -75,49 +127,46 @@ Campaign::runGroupingOnly(bool relyzer, unsigned path_depth)
 
 PreparedCampaign
 Campaign::prepare(bool inject_all, bool relyzer, unsigned path_depth,
-                  bool grouping_only)
+                  bool grouping_only,
+                  std::shared_ptr<const GoldenArtifact> golden)
 {
     obs::Span span("campaign", "prepare " + prog_.name);
     PreparedCampaign prep;
     CampaignResult &res = prep.result;
     Rng rng(cfg_.seed);
-    faultsim::RunnerOptions ropts;
-    ropts.checkpointInterval = cfg_.checkpointInterval;
-    ropts.maxCheckpoints = cfg_.maxCheckpoints;
-    ropts.earlyExit = cfg_.earlyExit;
-    ropts.replay = cfg_.replay;
-    ropts.timeoutFactor = cfg_.timeoutFactor;
-    ropts.wallClockLimit = cfg_.injectWallLimit;
-    ropts.quarantine = cfg_.quarantineFail
-                           ? faultsim::QuarantinePolicy::Fail
-                           : faultsim::QuarantinePolicy::Continue;
-    ropts.injectHook = cfg_.injectHook;
-    runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core, ropts);
+    runner_ = std::make_unique<InjectionRunner>(prog_, cfg_.core,
+                                                runnerOptionsOf(cfg_));
 
     // ---- Phase 1: preprocessing (profiled golden run + fault list) ----
+    if (!golden)
+        golden = GoldenArtifact::build(prog_, cfg_, grouping_only);
+    golden_ = golden->golden();
     const obs::TimePoint t0 = obs::now();
-    profile::AceProfiler profiler(cfg_.core.numPhysIntRegs,
-                                  cfg_.core.sqEntries,
-                                  cfg_.core.l1d.totalWords());
-    golden_ = runner_->golden(&profiler);
-    profiler.finalize();
-    res.profileSeconds = obs::secondsSince(t0);
-    res.goldenCycles = golden_.stats.cycles;
-    res.goldenInstret = golden_.stats.instret;
-
-    const profile::StructureProfile &prof = profiler.profile(cfg_.target);
+    obs::Span fspan("profile", "finalize");
+    const profile::StructureProfile &prof = golden->profile(cfg_.target);
+    fspan.end();
+    const unsigned entries = entriesOf(cfg_.target, cfg_.core);
+    MERLIN_ASSERT(prof.numEntries() == entries,
+                  "borrowed golden artifact has another core config");
+    res.profileSeconds = golden->seconds() + obs::secondsSince(t0);
+    res.goldenCycles = golden_->stats.cycles;
+    res.goldenInstret = golden_->stats.instret;
     res.aceAvf = prof.aceAvf(res.goldenCycles);
 
-    const unsigned entries = entriesOf(cfg_.target, cfg_.core);
+    obs::Span sspan("merlin", "sample");
     std::vector<Fault> initial = sampleFaults(
         cfg_.target, entries, res.goldenCycles, cfg_.sampling, rng);
+    sspan.end();
     res.initialFaults = initial.size();
 
     // ---- Phase 2: fault list reduction ----
-    prep.grouping =
-        relyzer ? relyzerGroupFaults(initial, prof, profiler, path_depth,
-                                     rng)
-                : groupFaults(initial, prof, cfg_.grouping, rng);
+    {
+        obs::Span gspan("merlin", "group");
+        prep.grouping =
+            relyzer ? relyzerGroupFaults(initial, prof, golden->profiler(),
+                                         path_depth, rng)
+                    : groupFaults(initial, prof, cfg_.grouping, rng);
+    }
     const GroupingResult &grouping = prep.grouping;
     res.aceMasked = grouping.aceMasked;
     res.survivors = grouping.survivors.size();
@@ -251,7 +300,7 @@ Campaign::runImpl(bool inject_all, bool relyzer, unsigned path_depth)
     const obs::TimePoint t0 = obs::now();
     const std::vector<Outcome> outcomes = [&] {
         obs::Span span("campaign", "inject-batch " + prog_.name);
-        return runner_->injectBatch(prep.faults, golden_, jobs);
+        return runner_->injectBatch(prep.faults, *golden_, jobs);
     }();
     return finish(std::move(prep), outcomes, obs::secondsSince(t0));
 }

@@ -11,6 +11,16 @@
  * The same object can also run the baselines the paper compares against:
  * the full post-ACE fault list (for accuracy/homogeneity figures) and
  * Relyzer's control-equivalence heuristic (Figure 17).
+ *
+ * The profiled golden run does not depend on the target structure: one
+ * pass records the ACE events and replay effects of RF, SQ and L1D
+ * together.  It is therefore a GoldenArtifact of its own, which
+ * Campaign::prepare either builds privately (standalone campaigns) or
+ * borrows from a caller that shares one pass across the structures of
+ * a (workload, core config, window) — CampaignService does.  Sharing is
+ * byte-safe: the golden pass draws nothing from the campaign's seeded
+ * Rng.  Grouping-only campaigns never inject, so their pass records
+ * neither checkpoints nor an effect trace.
  */
 
 #ifndef MERLIN_MERLIN_CAMPAIGN_HH
@@ -180,6 +190,53 @@ struct CampaignResult
 };
 
 /**
+ * The structure-independent product of one profiled golden pass: the
+ * GoldenRun (checkpoints, effect trace, architectural result) and the
+ * ACE profiler that recorded all three structures.  Immutable once
+ * built, except that each structure's profile is finalized on first
+ * demand, once, from whichever thread asks first — so campaigns of
+ * different targets may borrow one artifact concurrently, and each pays
+ * only for its own target's finalize.
+ */
+class GoldenArtifact
+{
+  public:
+    /**
+     * Run the golden pass a campaign under @p cfg needs.  With
+     * @p grouping_only the pass records no checkpoints and no effect
+     * trace (nothing will be injected); otherwise it honours the
+     * checkpoint and replay knobs of @p cfg.
+     */
+    static std::shared_ptr<const GoldenArtifact>
+    build(const isa::Program &prog, const CampaignConfig &cfg,
+          bool grouping_only);
+
+    /** The golden reference; injections keep it alive on their own. */
+    const std::shared_ptr<const faultsim::GoldenRun> &
+    golden() const
+    {
+        return golden_;
+    }
+
+    /** Wall-clock seconds of the golden pass. */
+    double seconds() const { return seconds_; }
+
+    /** @p s's vulnerable intervals, finalized on first demand. */
+    const profile::StructureProfile &profile(uarch::Structure s) const;
+
+    /** The profiler itself (branch trace for Relyzer grouping). */
+    const profile::AceProfiler &profiler() const { return *profiler_; }
+
+  private:
+    GoldenArtifact() = default;
+
+    std::shared_ptr<const faultsim::GoldenRun> golden_;
+    /** Not const: profile() finalizes through it (thread-safe). */
+    std::unique_ptr<profile::AceProfiler> profiler_;
+    double seconds_ = 0.0;
+};
+
+/**
  * A campaign paused between its phases: profiling/grouping done
  * (phases 1-2), injections (phase 3) not yet run.  Produced by
  * Campaign::prepare(); hand `faults` to any injection driver — the
@@ -239,10 +296,17 @@ class Campaign
      * returned faults can be injected by an external driver; fold the
      * outcomes back with finish().  run()/runRelyzer()/runGroupingOnly()
      * are thin wrappers over this split.
+     *
+     * @param golden a borrowed golden pass of this program under this
+     *        campaign's core config and window, built by
+     *        GoldenArtifact::build with the same @p grouping_only;
+     *        null = run a private one.  The campaign keeps only the
+     *        GoldenRun, not the artifact, past prepare().
      */
-    PreparedCampaign prepare(bool inject_all = false, bool relyzer = false,
-                             unsigned path_depth = 5,
-                             bool grouping_only = false);
+    PreparedCampaign
+    prepare(bool inject_all = false, bool relyzer = false,
+            unsigned path_depth = 5, bool grouping_only = false,
+            std::shared_ptr<const GoldenArtifact> golden = nullptr);
 
     /**
      * Phase 3 epilogue: @p outcomes must hold the outcome of
@@ -256,7 +320,12 @@ class Campaign
                           double injection_seconds = 0.0) const;
 
     /** The golden reference (valid after prepare()/run()/...). */
-    const faultsim::GoldenRun &goldenRun() const { return golden_; }
+    const faultsim::GoldenRun &
+    goldenRun() const
+    {
+        MERLIN_ASSERT(golden_ != nullptr, "campaign not prepared");
+        return *golden_;
+    }
 
     /** The injection harness (valid after prepare()/run()/...). */
     const faultsim::InjectionRunner &
@@ -272,7 +341,7 @@ class Campaign
 
     const isa::Program &prog_;
     CampaignConfig cfg_;
-    faultsim::GoldenRun golden_;
+    std::shared_ptr<const faultsim::GoldenRun> golden_;
     std::unique_ptr<faultsim::InjectionRunner> runner_;
     bool groupingOnly_ = false;
 };

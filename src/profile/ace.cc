@@ -72,7 +72,9 @@ AceProfiler::mutableProfile(Structure s)
 const StructureProfile &
 AceProfiler::profile(Structure s) const
 {
-    MERLIN_ASSERT(finalized_, "profile queried before finalize()");
+    MERLIN_ASSERT(finalized_[static_cast<std::size_t>(s)].load(
+                      std::memory_order_acquire),
+                  "profile queried before finalize()");
     switch (s) {
       case Structure::RegisterFile: return rf_;
       case Structure::StoreQueue:   return sq_;
@@ -106,11 +108,16 @@ AceProfiler::onCommitBranch(Rip rip, bool taken, SeqNum seq)
 void
 AceProfiler::finalize()
 {
-    MERLIN_ASSERT(!finalized_, "finalize() called twice");
-    finalized_ = true;
-
     for (Structure s : {Structure::RegisterFile, Structure::StoreQueue,
-                        Structure::L1DCache}) {
+                        Structure::L1DCache})
+        finalize(s);
+}
+
+void
+AceProfiler::finalize(Structure s)
+{
+    const auto si = static_cast<std::size_t>(s);
+    std::call_once(finalizeOnce_[si], [&] {
         auto &evs = events(s);
         StructureProfile &prof = mutableProfile(s);
 
@@ -145,7 +152,8 @@ AceProfiler::finalize()
         }
         evs.clear();
         evs.shrink_to_fit();
-    }
+        finalized_[si].store(true, std::memory_order_release);
+    });
 }
 
 std::uint64_t

@@ -17,7 +17,10 @@
 #ifndef MERLIN_PROFILE_ACE_HH
 #define MERLIN_PROFILE_ACE_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "base/types.hh"
@@ -85,7 +88,9 @@ struct BranchRecord
 
 /**
  * The profiler: attach to a Core as its Probe for the golden run, then
- * finalize() once the run ends.
+ * finalize the structures you query once the run ends.  One golden run
+ * records all three structures, so a profiler shared by campaigns of
+ * different targets finalizes each structure on first demand only.
  */
 class AceProfiler : public uarch::Probe
 {
@@ -102,9 +107,18 @@ class AceProfiler : public uarch::Probe
                          Upc upc, SeqNum seq) override;
     void onCommitBranch(Rip rip, bool taken, SeqNum seq) override;
 
-    /** Build interval lists; call exactly once, after the golden run. */
+    /**
+     * Build @p s's interval lists after the golden run.  Runs once per
+     * structure; later and concurrent calls block until it is done and
+     * then return, so campaigns sharing one profiler may each finalize
+     * their own target from any thread.
+     */
+    void finalize(uarch::Structure s);
+
+    /** finalize() every structure. */
     void finalize();
 
+    /** @p s's profile; @p s must have been finalized. */
     const StructureProfile &profile(uarch::Structure s) const;
 
     /** Committed conditional-branch trace, ordered by sequence number. */
@@ -134,7 +148,8 @@ class AceProfiler : public uarch::Probe
     StructureProfile &mutableProfile(uarch::Structure s);
     std::vector<Event> &events(uarch::Structure s);
 
-    bool finalized_ = false;
+    std::array<std::once_flag, 3> finalizeOnce_;
+    std::array<std::atomic<bool>, 3> finalized_{};
     StructureProfile rf_;
     StructureProfile sq_;
     StructureProfile l1d_;

@@ -10,7 +10,9 @@
 #include "sched/service.hh"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <utility>
 
 #include "base/logging.hh"
@@ -48,6 +50,33 @@ clientCounter(const std::string &client, const char *what)
 {
     return obs::Registry::global().counter("service.client." + client +
                                            "." + what);
+}
+
+/**
+ * What the golden pass of @p spec's campaign reads, as a cache key:
+ * the program (workload and raw window), the core config and, for
+ * injecting campaigns, the checkpoint and replay knobs.  The target
+ * structure is not in it — one pass profiles all three — and neither
+ * is anything else a campaign does after the pass.
+ */
+std::string
+goldenKeyOf(const CampaignSpec &spec)
+{
+    const bool groupingOnly = spec.mode == CampaignSpec::Mode::GroupingOnly;
+    Json j = Json::object();
+    j.set("workload", spec.workload);
+    j.set("regs", spec.regs);
+    j.set("sq_entries", spec.sqEntries);
+    j.set("l1d_kb", spec.l1dKb);
+    j.set("window", spec.window ? Json(*spec.window) : Json());
+    j.set("mem_chunk_bytes", spec.memChunkBytes);
+    j.set("grouping_only", groupingOnly);
+    if (!groupingOnly) {
+        j.set("checkpoint_interval", spec.checkpointInterval);
+        j.set("max_checkpoints", spec.maxCheckpoints);
+        j.set("replay", spec.replay);
+    }
+    return j.dump();
 }
 
 } // namespace
@@ -134,9 +163,23 @@ struct CampaignService::Job
     bool running = false;
     /** Filled by runJob(); fanned out per ticket by settleLocked(). */
     Outcome outcome;
+    /** The golden pass this job still needs; null once borrowed or
+     *  settled.  Mutated only under the service mutex. */
+    std::shared_ptr<GoldenSlot> golden;
     /** Subscribers; [0] is the submitter whose options drive the run.
      *  Mutated only under the service mutex. */
     std::vector<TicketPtr> tickets;
+};
+
+/** One golden artifact, resident while some job still needs it. */
+struct CampaignService::GoldenSlot
+{
+    std::string key;
+    /** Jobs holding this slot (under the service mutex). */
+    std::size_t demand = 0;
+    /** Made valid by the first borrower, which builds the artifact
+     *  (under the service mutex); later borrowers wait on it. */
+    std::shared_future<std::shared_ptr<const core::GoldenArtifact>> artifact;
 };
 
 struct CampaignService::WorkloadSlot
@@ -221,6 +264,7 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
             return nullptr;
     }
     const std::string key = spec.key();
+    const std::string goldenKey = goldenKeyOf(spec);
     TicketPtr ticket(new Ticket(spec, key, opts));
     clientCounter(opts.client, "submitted").add();
 
@@ -287,6 +331,13 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     job->client = opts.client;
     job->resume = opts.reuseCached;
     job->tickets.push_back(ticket);
+    auto [git, gfresh] = goldens_.try_emplace(goldenKey);
+    if (gfresh) {
+        git->second = std::make_shared<GoldenSlot>();
+        git->second->key = goldenKey;
+    }
+    ++git->second->demand;
+    job->golden = git->second;
 
     auto [qit, fresh] = queues_.try_emplace(opts.client);
     if (fresh)
@@ -340,6 +391,7 @@ CampaignService::cancel(const TicketPtr &ticket)
     if (qit != q.end())
         q.erase(qit);
     clientGauge(job.client, "queued").set(static_cast<double>(q.size()));
+    releaseGoldenLocked(job);
     inflight_.erase(it);
     --queuedJobs_;
     --stats_.queued;
@@ -430,7 +482,9 @@ CampaignService::Stats
 CampaignService::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return stats_;
+    Stats s = stats_;
+    s.goldenResident = goldens_.size();
+    return s;
 }
 
 void
@@ -516,6 +570,7 @@ CampaignService::settleLocked(const std::shared_ptr<Job> &job, State state,
     auto it = inflight_.find(job->key);
     if (it != inflight_.end() && it->second == job)
         inflight_.erase(it);
+    releaseGoldenLocked(*job);
     if (state == State::Done)
         ++stats_.executed;
     else if (state == State::Failed)
@@ -533,6 +588,64 @@ CampaignService::settleLocked(const std::shared_ptr<Job> &job, State state,
         }
         t->complete(state, std::move(out), err);
     }
+}
+
+void
+CampaignService::releaseGoldenLocked(Job &job)
+{
+    if (!job.golden)
+        return;
+    if (--job.golden->demand == 0)
+        goldens_.erase(job.golden->key);
+    job.golden.reset();
+}
+
+std::shared_ptr<const core::GoldenArtifact>
+CampaignService::borrowGolden(Job &job, const isa::Program &prog,
+                              const core::CampaignConfig &cc,
+                              bool grouping_only)
+{
+    static obs::Counter &shared =
+        obs::Registry::global().counter("golden.shared");
+    static obs::Histogram &waitUs =
+        obs::Registry::global().histogram("golden.wait_us");
+
+    std::promise<std::shared_ptr<const core::GoldenArtifact>> promise;
+    std::shared_future<std::shared_ptr<const core::GoldenArtifact>> future;
+    bool first = false;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        GoldenSlot &slot = *job.golden;
+        if (!slot.artifact.valid()) {
+            slot.artifact = promise.get_future().share();
+            first = true;
+        }
+        future = slot.artifact;
+    }
+    if (first) {
+        try {
+            promise.set_value(
+                core::GoldenArtifact::build(prog, cc, grouping_only));
+        } catch (...) {
+            // Waiters fail with the first borrower: the pass is
+            // deterministic, so theirs would fail the same way.
+            promise.set_exception(std::current_exception());
+        }
+    } else {
+        shared.add();
+        if (future.wait_for(std::chrono::seconds(0)) !=
+            std::future_status::ready) {
+            obs::Span span("sched", "golden.wait");
+            const obs::TimePoint t0 = obs::now();
+            future.wait();
+            waitUs.observe(obs::microsSince(t0));
+        }
+    }
+    // The job holds the artifact from here on; the slot may go.
+    std::shared_ptr<const core::GoldenArtifact> artifact = future.get();
+    std::lock_guard<std::mutex> lock(mu_);
+    releaseGoldenLocked(job);
+    return artifact;
 }
 
 std::vector<std::string>
@@ -573,11 +686,11 @@ CampaignService::runJob(Job &job)
     // campaign computes.
     cc.injectWallLimit = cfg_.injectWallLimit;
     cc.quarantineFail = cfg_.quarantineFail;
+    const bool grouping_only = spec.mode == CampaignSpec::Mode::GroupingOnly;
     core::Campaign camp(wl->program, cc);
-    core::PreparedCampaign prep =
-        camp.prepare(spec.mode == CampaignSpec::Mode::Truth, spec.relyzer,
-                     spec.pathDepth,
-                     spec.mode == CampaignSpec::Mode::GroupingOnly);
+    core::PreparedCampaign prep = camp.prepare(
+        spec.mode == CampaignSpec::Mode::Truth, spec.relyzer, spec.pathDepth,
+        grouping_only, borrowGolden(job, wl->program, cc, grouping_only));
 
     std::vector<faultsim::Outcome> outcomes;
     double inject_seconds = 0.0;

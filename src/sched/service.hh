@@ -39,7 +39,23 @@
  *   - fairness: each submission names a client, and the drivers pick
  *     the next campaign round-robin across the per-client queues, so
  *     one tenant's thousand-spec sweep cannot starve another's single
- *     submission.
+ *     submission;
+ *   - one golden pass per (workload, core config, window): campaigns
+ *     borrow a shared core::GoldenArtifact instead of each simulating
+ *     the structure-independent golden run.  Its key is computed from
+ *     the spec alone (workload, regs, sq_entries, l1d_kb, the raw
+ *     window, mem_chunk_bytes and grouping-only vs injecting; injecting
+ *     passes also key on checkpoint_interval, max_checkpoints and
+ *     replay).  The first job to need it builds it, single-flight;
+ *     jobs that find it in flight block on it (the `golden.wait`
+ *     span).  An artifact stays resident exactly while a queued or
+ *     running job has yet to borrow it: demand is counted up when a
+ *     job is created and down when the job has borrowed it or
+ *     settles first (done, failed or cancelled); a borrowing campaign
+ *     then keeps only its own GoldenRun.  There is no LRU: a batch
+ *     suite queues its whole manifest before any driver starts, so
+ *     every share in it is captured, and the daemon shares between
+ *     jobs that are pending at the same time.
  */
 
 #ifndef MERLIN_SCHED_SERVICE_HH
@@ -181,6 +197,8 @@ class CampaignService
         std::uint64_t cancelled = 0;
         std::uint64_t queued = 0;  ///< currently waiting for a driver
         std::uint64_t running = 0; ///< currently simulating
+        /** Golden artifacts some queued or running job still needs. */
+        std::uint64_t goldenResident = 0;
     };
 
     explicit CampaignService(Config cfg);
@@ -252,6 +270,7 @@ class CampaignService
 
   private:
     struct Job;
+    struct GoldenSlot;
     struct WorkloadSlot;
 
     std::shared_ptr<const workloads::BuiltWorkload>
@@ -266,6 +285,10 @@ class CampaignService
     void runJob(Job &job);
     void settleLocked(const std::shared_ptr<Job> &job, State state,
                       std::exception_ptr err);
+    std::shared_ptr<const core::GoldenArtifact>
+    borrowGolden(Job &job, const isa::Program &prog,
+                 const core::CampaignConfig &cc, bool grouping_only);
+    void releaseGoldenLocked(Job &job);
     std::vector<std::string> shardDirsOf(const Job &job);
     obs::ProgressSink *primaryProgress(const Job &job);
 
@@ -283,6 +306,8 @@ class CampaignService
     std::size_t rrNext_ = 0;
     /** Single-flight index: spec key -> queued/running job. */
     std::map<std::string, std::shared_ptr<Job>> inflight_;
+    /** Golden-artifact cache: golden key -> slot, while in demand. */
+    std::map<std::string, std::shared_ptr<GoldenSlot>> goldens_;
     std::size_t activeDrivers_ = 0;
     std::size_t queuedJobs_ = 0;
     std::size_t runningJobs_ = 0;

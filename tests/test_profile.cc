@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "base/logging.hh"
 #include "base/rng.hh"
 
@@ -203,6 +208,73 @@ TEST(AceProfiler, AceAvfIsUpperBoundButBelowOne)
         prof.profile(Structure::RegisterFile).aceAvf(core.stats().cycles);
     EXPECT_GT(avf, 0.0);
     EXPECT_LT(avf, 1.0);
+}
+
+/** Every interval of every structure of @p p, flattened for comparison. */
+std::vector<std::uint64_t>
+flatten(const AceProfiler &p)
+{
+    std::vector<std::uint64_t> out;
+    for (Structure s : {Structure::RegisterFile, Structure::StoreQueue,
+                        Structure::L1DCache}) {
+        const StructureProfile &prof = p.profile(s);
+        out.push_back(prof.totalVulnerableCycles());
+        for (unsigned e = 0; e < prof.numEntries(); ++e) {
+            out.push_back(prof.intervals(e).size());
+            for (const VulnerableInterval &iv : prof.intervals(e)) {
+                out.insert(out.end(),
+                           {iv.start, iv.end, iv.rip, iv.upc, iv.endSeq});
+            }
+        }
+    }
+    return out;
+}
+
+TEST(AceProfiler, PerStructureFinalizeInAnyOrderEqualsWholeFinalize)
+{
+    // One golden pass profiles all three structures; campaigns sharing
+    // it finalize only their own target, in whatever order (and from
+    // whatever thread) they get there.  The result must not depend on
+    // that order.
+    auto w = workloads::buildWorkload("qsort");
+    const uarch::CoreConfig cfg;
+    auto profiled = [&] {
+        auto prof = std::make_unique<AceProfiler>(
+            cfg.numPhysIntRegs, cfg.sqEntries, cfg.l1d.totalWords());
+        uarch::Core core(w.program, cfg, prof.get());
+        core.run();
+        return prof;
+    };
+
+    auto whole = profiled();
+    whole->finalize();
+    const std::vector<std::uint64_t> expect = flatten(*whole);
+    ASSERT_GT(expect.size(), 3u);
+
+    using Order = std::array<Structure, 3>;
+    for (const Order &order :
+         {Order{Structure::L1DCache, Structure::RegisterFile,
+                Structure::StoreQueue},
+          Order{Structure::StoreQueue, Structure::L1DCache,
+                Structure::RegisterFile}}) {
+        auto p = profiled();
+        for (Structure s : order) {
+            p->finalize(s);
+            p->finalize(s); // idempotent
+        }
+        p->finalize(); // a whole finalize after the parts is a no-op
+        EXPECT_EQ(flatten(*p), expect);
+    }
+
+    // Concurrently, two threads per structure.
+    auto p = profiled();
+    std::vector<std::thread> threads;
+    for (int i = 0; i < 6; ++i)
+        threads.emplace_back(
+            [&, i] { p->finalize(static_cast<Structure>(i % 3)); });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(flatten(*p), expect);
 }
 
 TEST(AceProfiler, PathSignatureDiscriminatesPaths)

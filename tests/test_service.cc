@@ -5,17 +5,23 @@
  * property is single-flight coalescing — N concurrent submissions of
  * one spec cost ONE simulation, and every subscriber receives the
  * byte-identical result — plus warm-cache serving, queued-submission
- * cancellation, shutdown refusal, and batch-wrapper equivalence.
+ * cancellation, shutdown refusal, batch-wrapper equivalence, and the
+ * golden-artifact cache: one golden pass per (workload, core config,
+ * window), shared across structures and freed once no job needs it.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "io/result_store.hh"
 #include "obs/metrics.hh"
+#include "obs/trace.hh"
 #include "sched/service.hh"
 #include "sched/suite.hh"
 
@@ -45,6 +51,90 @@ memoryConfig(unsigned jobs, bool paused)
     cfg.jobs = jobs;
     cfg.startPaused = paused;
     return cfg;
+}
+
+/** A qsort campaign of @p s at the default core size and window. */
+CampaignSpec
+qsortSpec(uarch::Structure s, std::uint64_t seed,
+          CampaignSpec::Mode mode = CampaignSpec::Mode::Estimate)
+{
+    CampaignSpec spec;
+    spec.workload = "qsort";
+    spec.structure = s;
+    spec.sampling = core::specFixed(
+        mode == CampaignSpec::Mode::GroupingOnly ? 2000 : 150);
+    spec.seed = seed;
+    spec.mode = mode;
+    return spec;
+}
+
+std::string
+readAndRemove(const std::string &path)
+{
+    std::stringstream ss;
+    {
+        std::ifstream in(path);
+        EXPECT_TRUE(in.good()) << path;
+        ss << in.rdbuf();
+    }
+    std::remove(path.c_str());
+    return ss.str();
+}
+
+/**
+ * Queue every spec of @p specs on one paused service of @p jobs
+ * workers, then run them into a fresh store; returns the store bytes.
+ * Checks that no golden artifact outlives the drain.
+ */
+std::string
+storeOfOneService(const std::vector<CampaignSpec> &specs, unsigned jobs)
+{
+    const std::string path = testing::TempDir() + "merlin_golden.json";
+    std::remove(path.c_str());
+    CampaignService::Config cfg = memoryConfig(jobs, /*paused=*/true);
+    cfg.storePath = path;
+    {
+        CampaignService svc(cfg);
+        std::vector<CampaignService::TicketPtr> tickets;
+        for (const CampaignSpec &spec : specs)
+            tickets.push_back(svc.submit(spec, {}));
+        EXPECT_GT(svc.stats().goldenResident, 0u);
+        svc.resume();
+        for (const auto &t : tickets)
+            EXPECT_EQ(t->wait(), CampaignService::State::Done);
+        svc.drain();
+        EXPECT_EQ(svc.stats().goldenResident, 0u);
+    }
+    return readAndRemove(path);
+}
+
+/** The store of @p specs run one by one, each in its own service. */
+std::string
+storeOfSeparateServices(const std::vector<CampaignSpec> &specs)
+{
+    const std::string path = testing::TempDir() + "merlin_golden_ref.json";
+    std::remove(path.c_str());
+    for (const CampaignSpec &spec : specs) {
+        CampaignService::Config cfg = memoryConfig(1, /*paused=*/false);
+        cfg.storePath = path;
+        cfg.loadStore = true;
+        CampaignService svc(cfg);
+        auto t = svc.submit(spec, {});
+        EXPECT_EQ(t->wait(), CampaignService::State::Done);
+    }
+    return readAndRemove(path);
+}
+
+obs::Counter &
+goldenRuns()
+{
+    return obs::Registry::global().counter("golden.runs");
+}
+
+obs::Counter &
+goldenShared()
+{
+    return obs::Registry::global().counter("golden.shared");
 }
 
 TEST(CampaignService, SingleFlightCoalescesIdenticalSpecs)
@@ -193,6 +283,7 @@ TEST(CampaignService, ShutdownRefusesNewSubmissionsAndCancelsQueued)
     EXPECT_EQ(queued->wait(), CampaignService::State::Cancelled);
     svc.resume();
     svc.drain();
+    EXPECT_EQ(svc.stats().goldenResident, 0u);
 }
 
 TEST(CampaignService, SubscribeAttachesToInflightKey)
@@ -256,6 +347,132 @@ TEST(CampaignService, BatchWrapperMatchesDirectServiceSubmissions)
                   io::resultToJson(batch.results[i]).dump())
             << "spec " << i;
     }
+}
+
+TEST(CampaignService, OneGoldenPassServesEveryStructure)
+{
+    // The golden pass does not depend on the target structure, so the
+    // three campaigns of one (workload, core config, window) share one
+    // pass — and store exactly the bytes they store when each runs
+    // alone, at any pool size.
+    const std::vector<CampaignSpec> specs{
+        qsortSpec(uarch::Structure::RegisterFile, 41),
+        qsortSpec(uarch::Structure::StoreQueue, 43),
+        qsortSpec(uarch::Structure::L1DCache, 47)};
+
+    std::uint64_t runs0 = goldenRuns().total();
+    const std::string alone = storeOfSeparateServices(specs);
+    EXPECT_EQ(goldenRuns().total() - runs0, 3u);
+
+    for (unsigned jobs : {1u, 4u}) {
+        runs0 = goldenRuns().total();
+        const std::uint64_t shared0 = goldenShared().total();
+        EXPECT_EQ(storeOfOneService(specs, jobs), alone) << "jobs " << jobs;
+        EXPECT_EQ(goldenRuns().total() - runs0, 1u) << "jobs " << jobs;
+        EXPECT_EQ(goldenShared().total() - shared0, 2u) << "jobs " << jobs;
+    }
+}
+
+TEST(CampaignService, GroupingOnlyPassesRecordNoCheckpointsOrTrace)
+{
+    // Grouping-only campaigns never inject: their golden pass captures
+    // no checkpoint and records no effect trace.  The store is the
+    // same at any pool size, traced or not.
+    std::vector<CampaignSpec> specs;
+    for (uarch::Structure s :
+         {uarch::Structure::RegisterFile, uarch::Structure::StoreQueue,
+          uarch::Structure::L1DCache})
+        specs.push_back(
+            qsortSpec(s, 53, CampaignSpec::Mode::GroupingOnly));
+    CampaignSpec fft = specs[0];
+    fft.workload = "fft";
+    specs.push_back(fft);
+
+    obs::Histogram &capture =
+        obs::Registry::global().histogram("snapshot.capture_us");
+    const std::uint64_t captures0 = capture.snapshot().count;
+    const std::uint64_t runs0 = goldenRuns().total();
+    obs::TraceWriter::global().start(""); // collect only
+    const std::string traced = storeOfOneService(specs, 4);
+    const io::Json trace = obs::TraceWriter::global().toJson();
+    obs::TraceWriter::global().finish();
+
+    EXPECT_EQ(capture.snapshot().count - captures0, 0u);
+    EXPECT_EQ(goldenRuns().total() - runs0, 2u); // qsort, fft
+    unsigned goldens = 0;
+    for (const io::Json &e : trace.at("traceEvents").items()) {
+        const std::string cat = e.strOr("cat", "");
+        const std::string name = e.strOr("name", "");
+        EXPECT_NE(cat, "replay") << name; // no effect trace recorded
+        if (cat == "campaign" && name.rfind("golden ", 0) == 0)
+            ++goldens;
+    }
+    EXPECT_EQ(goldens, 2u);
+
+    EXPECT_EQ(storeOfOneService(specs, 1), traced);
+    EXPECT_EQ(storeOfSeparateServices(specs), traced);
+}
+
+TEST(CampaignService, InjectingAndGroupingOnlyCampaignsDoNotShareAPass)
+{
+    // Same workload, core config and window, but a grouping-only pass
+    // records no checkpoints or trace, so an injecting campaign must
+    // not borrow it (nor the other way round).
+    const CampaignSpec estimate =
+        qsortSpec(uarch::Structure::RegisterFile, 59);
+    CampaignSpec grouping = estimate;
+    grouping.mode = CampaignSpec::Mode::GroupingOnly;
+
+    std::vector<std::string> alone;
+    for (const CampaignSpec &spec : {estimate, grouping}) {
+        CampaignService svc(memoryConfig(1, /*paused=*/false));
+        auto t = svc.submit(spec, {});
+        ASSERT_EQ(t->wait(), CampaignService::State::Done);
+        alone.push_back(io::resultToJson(t->outcome().result).dump());
+    }
+
+    const std::uint64_t runs0 = goldenRuns().total();
+    const std::uint64_t shared0 = goldenShared().total();
+    CampaignService svc(memoryConfig(2, /*paused=*/true));
+    auto te = svc.submit(estimate, {});
+    auto tg = svc.submit(grouping, {});
+    EXPECT_EQ(svc.stats().goldenResident, 2u);
+    svc.resume();
+    ASSERT_EQ(te->wait(), CampaignService::State::Done);
+    ASSERT_EQ(tg->wait(), CampaignService::State::Done);
+    EXPECT_EQ(goldenRuns().total() - runs0, 2u);
+    EXPECT_EQ(goldenShared().total() - shared0, 0u);
+    EXPECT_EQ(io::resultToJson(te->outcome().result).dump(), alone[0]);
+    EXPECT_EQ(io::resultToJson(tg->outcome().result).dump(), alone[1]);
+}
+
+TEST(CampaignService, CancelledAndFailedJobsReleaseTheirGoldenDemand)
+{
+    // An artifact is resident exactly while a queued or running job
+    // needs it: jobs that are cancelled before running, or fail before
+    // borrowing, must give their demand back.
+    CampaignService svc(memoryConfig(2, /*paused=*/true));
+    CampaignSpec bad = smallSpec(61);
+    bad.workload = "no-such-workload";
+    auto rf = svc.submit(qsortSpec(uarch::Structure::RegisterFile, 67), {});
+    auto sq = svc.submit(qsortSpec(uarch::Structure::StoreQueue, 71), {});
+    auto lone = svc.submit(smallSpec(73), {}); // regs 128: its own pass
+    auto failed = svc.submit(bad, {});
+    EXPECT_EQ(svc.stats().goldenResident, 3u);
+
+    // rf and sq share a pass: cancelling one keeps it for the other.
+    EXPECT_TRUE(svc.cancel(sq));
+    EXPECT_EQ(svc.stats().goldenResident, 3u);
+    EXPECT_TRUE(svc.cancel(lone));
+    EXPECT_EQ(svc.stats().goldenResident, 2u);
+
+    const std::uint64_t runs0 = goldenRuns().total();
+    svc.resume();
+    EXPECT_EQ(rf->wait(), CampaignService::State::Done);
+    EXPECT_EQ(failed->wait(), CampaignService::State::Failed);
+    svc.drain();
+    EXPECT_EQ(goldenRuns().total() - runs0, 1u);
+    EXPECT_EQ(svc.stats().goldenResident, 0u);
 }
 
 } // namespace
