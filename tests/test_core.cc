@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "base/logging.hh"
 #include "isa/interp.hh"
 #include "masm/asm.hh"
+#include "profile/ace.hh"
 #include "uarch/core.hh"
 #include "workloads/random_program.hh"
+#include "workloads/workloads.hh"
 
 namespace merlin::uarch
 {
@@ -657,6 +662,256 @@ TEST(CoreSnapshot, RestoreAllowsTighterWatchdog)
     Core restored(p, tight, snap);
     auto r = restored.run();
     EXPECT_EQ(r.reason, isa::TerminateReason::CycleLimit);
+}
+
+// ------------------------------------------------------ trajectory lock
+
+/**
+ * One pinned golden trajectory: a profiled run of a workload at one
+ * core geometry, with its SimPoint window.  Every value was recorded
+ * from the core as it stood before predecoded fetch, the ring uop
+ * queue, shift-indexed caches and the leaner rename/issue path; a core
+ * change that moves one cycle, one statistic, one output byte or one
+ * vulnerable entry-cycle (the numerator of the ACE AVF) fails here.
+ */
+struct Trajectory
+{
+    const char *workload;
+    unsigned regs;
+    unsigned sqEntries;
+    unsigned l1dKb;
+    CoreStats stats;
+    int reason;
+    int exitCode;
+    std::uint64_t outputHash; ///< FNV-1a over the output stream
+    std::uint64_t aceRf;      ///< vulnerable entry-cycles per structure
+    std::uint64_t aceSq;
+    std::uint64_t aceL1d;
+};
+
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 1469598103934665603ULL;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ULL;
+    }
+    return h;
+}
+
+/** Run @p t's case and return what a pinned row would hold. */
+Trajectory
+observe(const Trajectory &t)
+{
+    const auto w = workloads::buildWorkload(t.workload);
+    CoreConfig cfg = CoreConfig{}
+                         .withRegisterFile(t.regs)
+                         .withStoreQueue(t.sqEntries)
+                         .withL1dKb(t.l1dKb);
+    cfg.instructionWindowEnd = w.suggestedWindow;
+    profile::AceProfiler prof(cfg.numPhysIntRegs, cfg.sqEntries,
+                              cfg.l1d.totalWords());
+    Core core(w.program, cfg, &prof);
+    const isa::ArchResult r = core.run();
+    prof.finalize();
+    const auto vuln = [&](Structure s) {
+        return prof.profile(s).totalVulnerableCycles();
+    };
+    return Trajectory{t.workload,
+                      t.regs,
+                      t.sqEntries,
+                      t.l1dKb,
+                      core.stats(),
+                      static_cast<int>(r.reason),
+                      r.exitCode,
+                      fnv1a(r.output),
+                      vuln(Structure::RegisterFile),
+                      vuln(Structure::StoreQueue),
+                      vuln(Structure::L1DCache)};
+}
+
+/** @p s as a braced initializer, so a deliberate re-pin is a paste. */
+std::string
+statsRow(const CoreStats &s)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "{%llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu, %llu, "
+                  "%llu}",
+                  (unsigned long long)s.cycles,
+                  (unsigned long long)s.instret,
+                  (unsigned long long)s.uopsRetired,
+                  (unsigned long long)s.branchMispredicts,
+                  (unsigned long long)s.condBranches,
+                  (unsigned long long)s.squashes,
+                  (unsigned long long)s.loadsExecuted,
+                  (unsigned long long)s.storeForwards,
+                  (unsigned long long)s.l1dHits,
+                  (unsigned long long)s.l1dMisses);
+    return buf;
+}
+
+/** @p t as a table row. */
+std::string
+row(const Trajectory &t)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "{\"%s\", %u, %u, %u, %s, %d, %d, 0x%016llxULL, %llu, "
+                  "%llu, %llu},",
+                  t.workload, t.regs, t.sqEntries, t.l1dKb,
+                  statsRow(t.stats).c_str(), t.reason, t.exitCode,
+                  (unsigned long long)t.outputHash,
+                  (unsigned long long)t.aceRf, (unsigned long long)t.aceSq,
+                  (unsigned long long)t.aceL1d);
+    return buf;
+}
+
+void
+expectPinned(const Trajectory &want)
+{
+    const Trajectory got = observe(want);
+    EXPECT_EQ(got.stats, want.stats) << row(got);
+    EXPECT_EQ(got.reason, want.reason) << row(got);
+    EXPECT_EQ(got.exitCode, want.exitCode) << row(got);
+    EXPECT_EQ(got.outputHash, want.outputHash) << row(got);
+    EXPECT_EQ(got.aceRf, want.aceRf) << row(got);
+    EXPECT_EQ(got.aceSq, want.aceSq) << row(got);
+    EXPECT_EQ(got.aceL1d, want.aceL1d) << row(got);
+}
+
+// All 20 workloads at the default (Table 1) configuration.
+const Trajectory kDefaultTrajectories[] = {
+    {"susan_c", 256, 64, 64, {94848, 131900, 131900, 6503, 40654, 6503, 10021, 0, 10004, 16}, 0, 0, 0x1cad2792a7eef243ULL, 1099944, 2919, 7019891},
+    {"susan_s", 256, 64, 64, {18539, 36099, 36099, 56, 1954, 56, 9125, 0, 9108, 16}, 0, 0, 0xe1a3f74ac8f3e83aULL, 202288, 1800, 1329196},
+    {"susan_e", 256, 64, 64, {29536, 46561, 46561, 1117, 5554, 1117, 12328, 0, 12311, 16}, 0, 0, 0x74feef94d72bf4abULL, 276443, 3502, 2108387},
+    {"stringsearch", 256, 64, 64, {24349, 41452, 41452, 89, 7543, 89, 7448, 0, 7416, 32}, 0, 0, 0xccfd6b87a13ec0abULL, 411767, 4176, 4670585},
+    {"djpeg", 256, 64, 64, {60071, 157095, 157111, 1148, 11976, 1148, 18437, 0, 18357, 80}, 0, 0, 0x426fb3fc5917cfccULL, 875272, 4294, 11222184},
+    {"sha", 256, 64, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"fft", 256, 64, 64, {6846, 9251, 9251, 115, 453, 115, 1496, 0, 1464, 32}, 0, 0, 0x7c9ce5f36caa1203ULL, 107281, 3588, 904152},
+    {"qsort", 256, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"cjpeg", 256, 64, 64, {54949, 149917, 149933, 1143, 10440, 1143, 17920, 0, 17840, 80}, 0, 0, 0xea47dfb0f3768d64ULL, 724833, 3107, 10427843},
+    {"caes", 256, 64, 64, {17486, 30743, 30863, 733, 3202, 733, 4474, 0, 4469, 5}, 0, 0, 0x2f81a04315206396ULL, 240173, 5855, 958308},
+    {"bzip2", 256, 64, 64, {14920, 25000, 25000, 598, 6393, 598, 3266, 0, 3232, 34}, 4, 0, 0x14650fb0739d0383ULL, 100198, 10488, 70528},
+    {"gcc", 256, 64, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"mcf", 256, 64, 64, {16191, 25000, 25000, 345, 3650, 345, 6586, 0, 6442, 144}, 4, 0, 0x14650fb0739d0383ULL, 161007, 1194, 13377798},
+    {"gobmk", 256, 64, 64, {12170, 25000, 25076, 238, 5081, 238, 316, 5, 309, 2}, 4, 0, 0x14650fb0739d0383ULL, 111432, 9969, 141519},
+    {"hmmer", 256, 64, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"sjeng", 256, 64, 64, {18030, 25000, 29633, 1195, 5039, 1195, 2308, 29, 2279, 0}, 4, 0, 0x14650fb0739d0383ULL, 205002, 4892, 437244},
+    {"libquantum", 256, 64, 64, {13608, 25000, 25000, 510, 6951, 510, 1814, 0, 1778, 36}, 4, 0, 0x14650fb0739d0383ULL, 109778, 4694, 2940860},
+    {"h264ref", 256, 64, 64, {13212, 25000, 25000, 467, 3329, 467, 2354, 0, 2347, 7}, 4, 0, 0x14650fb0739d0383ULL, 130022, 56, 337922},
+    {"omnetpp", 256, 64, 64, {16471, 25000, 25580, 925, 3738, 925, 3826, 432, 3394, 0}, 4, 0, 0x14650fb0739d0383ULL, 175536, 4730, 637333},
+    {"astar", 256, 64, 64, {9729, 25000, 25017, 92, 7286, 92, 3448, 3, 3435, 10}, 4, 0, 0x14650fb0739d0383ULL, 78938, 3168, 566809},
+};
+
+// qsort, gcc, hmmer and sha at each Table-1 size variant of the
+// speedup figures (RF 128/64, SQ 32/16, L1D 32/16 KB).
+const Trajectory kSizeVariantTrajectories[] = {
+    {"qsort", 128, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 64, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 32, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 16, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 64, 32, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 64, 16, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"gcc", 128, 64, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 64, 64, 64, {14929, 25000, 25000, 678, 6272, 678, 4854, 180, 4668, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 32, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 16, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 64, 32, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 64, 16, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"hmmer", 128, 64, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 64, 64, 64, {14749, 25000, 25000, 269, 1406, 269, 3867, 0, 3820, 47}, 4, 0, 0x14650fb0739d0383ULL, 113757, 6492, 4550460},
+    {"hmmer", 256, 32, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 256, 16, 64, {13923, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 143201, 15643, 4248792},
+    {"hmmer", 256, 64, 32, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 256, 64, 16, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"sha", 128, 64, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 64, 64, 64, {15719, 35014, 35014, 144, 3069, 144, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 170010, 1542, 381032},
+    {"sha", 256, 32, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 16, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 64, 32, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 64, 16, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+};
+
+// A geometry the suite accepts in which no injected structure is a
+// power of two: L1D 48 KB (192 sets), 100 registers, 24 SQ entries.
+const Trajectory kOddGeometryTrajectories[] = {
+    {"qsort", 100, 24, 48, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"gcc", 100, 24, 48, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"hmmer", 100, 24, 48, {14028, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 136137, 15886, 4297084},
+    {"sha", 100, 24, 48, {15612, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 181825, 1542, 376776},
+};
+
+TEST(CoreTrajectory, AllWorkloadsAtDefaultConfig)
+{
+    ASSERT_EQ(std::size(kDefaultTrajectories),
+              workloads::allWorkloadNames().size());
+    for (const Trajectory &t : kDefaultTrajectories)
+        expectPinned(t);
+}
+
+TEST(CoreTrajectory, SizeVariants)
+{
+    for (const Trajectory &t : kSizeVariantTrajectories)
+        expectPinned(t);
+}
+
+TEST(CoreTrajectory, OddGeometry)
+{
+    for (const Trajectory &t : kOddGeometryTrajectories)
+        expectPinned(t);
+}
+
+TEST(CoreTrajectory, L1dFlipInALoadedTextLineNeverReachesFetch)
+{
+    // The program reads its own text through the L1D, a bit of that
+    // L1D line is flipped, the program reads the word again and then
+    // branches into it.  Text is never written (R|X, every store
+    // checks PermWrite), so the flip lives only in the clean L1D copy:
+    // the second load sees it, fetch never does.
+    auto p = prog("  la s0, target\n"
+                  "  ld.d s1, [s0]\n"
+                  "  out.d s1\n"
+                  "  movi s2, 0\n"
+                  "wait:\n"
+                  "  addi s2, s2, 1\n"
+                  "  movi t0, 200\n"
+                  "  blt s2, t0, wait\n"
+                  "  ld.d s1, [s0]\n"
+                  "  out.d s1\n"
+                  "  jmp target\n"
+                  "  halt 1\n"
+                  "target:\n"
+                  "  movi a0, 7\n"
+                  "  out.d a0\n"
+                  "  halt 3\n");
+    CoreConfig cfg;
+    Core core(p, cfg);
+    // Run until the first load has filled the text line into the L1D.
+    while (core.stats().loadsExecuted == 0 && core.tick()) {
+    }
+    ASSERT_FALSE(core.finished());
+    // Flip bit 0 (the opcode's low bit) of the target word in every
+    // way of its set: only the resident way holds live data.
+    const Addr target = p.symbol("target");
+    const unsigned sets = cfg.l1d.numSets();
+    const unsigned set = (target / cfg.l1d.lineSize) % sets;
+    const unsigned word = (target % cfg.l1d.lineSize) / 8;
+    for (unsigned way = 0; way < cfg.l1d.ways; ++way) {
+        core.flipL1dBit((set * cfg.l1d.ways + way) * cfg.l1d.wordsPerLine() +
+                            word,
+                        0);
+    }
+    const isa::ArchResult r = core.run();
+    EXPECT_EQ(r.reason, isa::TerminateReason::Halted);
+    EXPECT_EQ(r.exitCode, 3);
+    ASSERT_EQ(r.output.size(), 24u);
+    // Second load saw the flip; the executed instruction did not.
+    EXPECT_EQ(r.output[0] ^ r.output[8], 1);
+    EXPECT_EQ(r.output[16], 7);
+    EXPECT_EQ(core.stats(), (CoreStats{395, 610, 610, 13, 200, 13, 14, 0, 13, 1}))
+        << statsRow(core.stats());
 }
 
 } // namespace
