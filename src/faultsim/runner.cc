@@ -62,6 +62,9 @@ struct InjectMetrics
         obs::Registry::global().counter("inject.dedup_aliases");
     obs::Histogram &wallUs =
         obs::Registry::global().histogram("inject.wall_us");
+    /** Cycles ticked after restore (or from cycle 0); with wallUs it
+     *  gives the in-situ core speed. */
+    obs::Counter &cycles = obs::Registry::global().counter("inject.cycles");
     obs::Histogram &captureUs =
         obs::Registry::global().histogram("snapshot.capture_us");
     obs::Counter &captureCopied =
@@ -89,6 +92,15 @@ struct ScopeTimer
     obs::Histogram &h;
     obs::TimePoint t0 = obs::now();
     ~ScopeTimer() { h.observe(obs::microsSince(t0)); }
+};
+
+/** Adds the cycles @p core ticks in a scope, on every exit path. */
+struct CycleCounter
+{
+    obs::Counter &c;
+    const uarch::Core &core;
+    Cycle from = core.cycle();
+    ~CycleCounter() { c.add(core.cycle() - from); }
 };
 
 } // namespace
@@ -455,6 +467,7 @@ InjectionRunner::inject(const Fault &fault, const GoldenRun &ref,
             m.restoreCopied.add(rstats.bytesCopied);
             m.restoreShared.add(rstats.bytesShared);
         }
+        const CycleCounter ticked{m.cycles, core};
         const auto applyFlip = [&](uarch::Core &c) {
             switch (fault.structure) {
               case uarch::Structure::RegisterFile:

@@ -57,6 +57,8 @@ GoldenArtifact::build(const isa::Program &prog, const CampaignConfig &cfg,
 {
     static obs::Counter &runs =
         obs::Registry::global().counter("golden.runs");
+    static obs::Counter &cycles =
+        obs::Registry::global().counter("golden.cycles");
     faultsim::RunnerOptions ropts = runnerOptionsOf(cfg);
     if (grouping_only) {
         // Nothing will resume from a checkpoint or consult the trace.
@@ -74,6 +76,7 @@ GoldenArtifact::build(const isa::Program &prog, const CampaignConfig &cfg,
         std::make_shared<const GoldenRun>(runner.golden(a->profiler_.get()));
     a->seconds_ = obs::secondsSince(t0);
     runs.add();
+    cycles.add(a->golden_->stats.cycles);
     return a;
 }
 

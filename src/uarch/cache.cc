@@ -1,6 +1,7 @@
 #include "uarch/cache.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "base/bits.hh"
@@ -12,20 +13,25 @@ namespace merlin::uarch
 
 Cache::Cache(std::string name, const CacheConfig &cfg, Cache *lower,
              isa::SegmentedMemory *mem, std::uint32_t chunk_bytes)
-    : name_(std::move(name)), cfg_(cfg), lower_(lower), mem_(mem)
+    : name_(std::move(name)), cfg_(cfg),
+      lineShift_(static_cast<unsigned>(std::countr_zero(cfg.lineSize))),
+      numSets_(cfg.numSets()), lower_(lower), mem_(mem)
 {
     MERLIN_ASSERT((lower_ == nullptr) != (mem_ == nullptr),
                   "cache needs exactly one backing level");
-    MERLIN_ASSERT(cfg_.numSets() > 0 && (cfg_.lineSize % 8) == 0,
+    MERLIN_ASSERT(numSets_ > 0 && (cfg_.lineSize % 8) == 0 &&
+                      std::has_single_bit(cfg_.lineSize),
                   "bad cache geometry");
-    lines_.assign(std::size_t(cfg_.numSets()) * cfg_.ways, Line{});
+    if (std::has_single_bit(numSets_))
+        setShift_ = static_cast<unsigned>(std::countr_zero(numSets_));
+    lines_.assign(std::size_t(numSets_) * cfg_.ways, Line{});
     // A chunk must hold whole lines so that line views never span
     // chunks; both values are powers of two, so max() suffices.
     const std::uint32_t chunk = std::max(
         chunk_bytes ? chunk_bytes : base::CowBytes::kDefaultChunkBytes,
         cfg_.lineSize);
     data_ = base::CowBytes(
-        std::size_t(cfg_.numSets()) * cfg_.ways * cfg_.lineSize, chunk);
+        std::size_t(numSets_) * cfg_.ways * cfg_.lineSize, chunk);
 }
 
 void
@@ -133,7 +139,7 @@ Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
     if (line.valid && line.dirty) {
         // Write-back: the whole victim line is read out of the array.
         const Addr victim_addr =
-            (line.tag * cfg_.numSets() + set) * cfg_.lineSize;
+            (line.tag * numSets_ + set) * cfg_.lineSize;
         if (sink_) {
             for (std::uint32_t o = 0; o < cfg_.lineSize; o += 8) {
                 sink_->onCacheWordWritebackRead(wordIndex(set, victim, o),
@@ -210,13 +216,13 @@ Cache::flipBit(EntryIndex word, unsigned bit)
 void
 Cache::applyDirtyLines(isa::SegmentedMemory &mem) const
 {
-    for (std::uint32_t set = 0; set < cfg_.numSets(); ++set) {
+    for (std::uint32_t set = 0; set < numSets_; ++set) {
         for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
             const Line &line = lines_[std::size_t(set) * cfg_.ways + w];
             if (!line.valid || !line.dirty)
                 continue;
             const Addr addr =
-                (line.tag * cfg_.numSets() + set) * cfg_.lineSize;
+                (line.tag * numSets_ + set) * cfg_.lineSize;
             mem.writeBlock(addr, lineData(set, w), cfg_.lineSize);
         }
     }

@@ -23,6 +23,7 @@
 #define MERLIN_UARCH_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "base/cow.hh"
@@ -171,11 +172,19 @@ class Cache
     };
 
     Addr lineAddr(Addr addr) const { return addr & ~Addr(cfg_.lineSize - 1); }
-    std::uint32_t setOf(Addr addr) const
+    std::uint32_t
+    setOf(Addr addr) const
     {
-        return (addr / cfg_.lineSize) % cfg_.numSets();
+        const Addr line = addr >> lineShift_;
+        return static_cast<std::uint32_t>(
+            setShift_ ? line & (numSets_ - 1) : line % numSets_);
     }
-    Addr tagOf(Addr addr) const { return addr / cfg_.lineSize / cfg_.numSets(); }
+    Addr
+    tagOf(Addr addr) const
+    {
+        const Addr line = addr >> lineShift_;
+        return setShift_ ? line >> *setShift_ : line / numSets_;
+    }
 
     std::size_t
     lineOffset(std::uint32_t set, std::uint32_t way) const
@@ -197,6 +206,12 @@ class Cache
 
     std::string name_;
     CacheConfig cfg_;
+    // Index arithmetic precomputed from cfg_: the line size is a power
+    // of two; the set count may not be (a 48 KB L1D has 192 sets), in
+    // which case setOf/tagOf divide exactly as the geometry demands.
+    unsigned lineShift_;
+    std::uint32_t numSets_;
+    std::optional<unsigned> setShift_; ///< log2(numSets_) if a power of two
     Cache *lower_;
     isa::SegmentedMemory *mem_;
     CacheEventSink *sink_ = nullptr;

@@ -1,6 +1,7 @@
 #include "uarch/core.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iterator>
 #include <tuple>
 #include <vector>
@@ -17,6 +18,60 @@ using isa::StaticUop;
 using isa::TrapKind;
 using isa::UopKind;
 
+// ------------------------------------------------------------ frontend data
+
+Core::UopRing::UopRing(unsigned min_capacity)
+    : buf_(std::bit_ceil(min_capacity)),
+      mask_(static_cast<unsigned>(buf_.size()) - 1)
+{}
+
+bool
+Core::UopRing::operator==(const UopRing &o) const
+{
+    if (size_ != o.size_)
+        return false;
+    for (unsigned i = 0; i < size_; ++i) {
+        if (!(buf_[(head_ + i) & mask_] == o.buf_[(o.head_ + i) & o.mask_]))
+            return false;
+    }
+    return true;
+}
+
+Core::PredecodedText::PredecodedText(const isa::Program &prog)
+    : name(prog.name), entry(prog.entry), text(prog.text),
+      dataBytes(prog.data.size()), bssSize(prog.bssSize)
+{
+    // The text segment as Program::buildMemory maps it: rounded up to
+    // a cache line, zero-filled past the image.
+    std::vector<std::uint8_t> image(text);
+    image.resize((image.size() + 63) & ~std::size_t(63), 0);
+    slots.resize(image.size() / isa::INSN_BYTES);
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        TextSlot &slot = slots[i];
+        const auto insn =
+            isa::decode(loadLE(&image[i * isa::INSN_BYTES], isa::INSN_BYTES));
+        if (!insn)
+            continue; // n == 0: traps as illegal when fetched
+        const Addr pc = isa::layout::TEXT_BASE + i * isa::INSN_BYTES;
+        slot.n = static_cast<std::uint8_t>(isa::expand(*insn, pc, slot.uops));
+        slot.halt = insn->op == Opcode::HALT;
+        slot.target = static_cast<std::uint32_t>(insn->imm);
+        if (isa::isCondBranch(insn->op))
+            slot.ctrl = CtrlClass::Cond;
+        else if (insn->op == Opcode::JMP || insn->op == Opcode::CALL)
+            slot.ctrl = CtrlClass::Direct;
+        else if (isa::isControlFlow(insn->op))
+            slot.ctrl = CtrlClass::Indirect;
+    }
+}
+
+bool
+Core::PredecodedText::builtFrom(const isa::Program &prog) const
+{
+    return prog.entry == entry && prog.data.size() == dataBytes &&
+           prog.bssSize == bssSize && prog.name == name && prog.text == text;
+}
+
 Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
     : cfg_(cfg),
       probe_(probe),
@@ -27,7 +82,9 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
       tournament_(cfg),
       btb_(cfg.btbEntries),
       ras_(cfg.rasEntries),
-      fetchPc_(prog.entry)
+      text_(std::make_shared<const PredecodedText>(prog)),
+      fetchPc_(prog.entry),
+      uopQueue_(32 + cfg.fetchWidth * isa::MAX_UOPS_PER_MACRO)
 {
     MERLIN_ASSERT(cfg_.numPhysIntRegs > isa::NUM_RENAMEABLE_REGS,
                   "need more physical than architectural registers");
@@ -92,7 +149,7 @@ Core::deepStateBytes() const
     n += completions_.size() * sizeof(Completion);
     n += sq_.size() * sizeof(SqEntry);
     n += sqData_.size() * sizeof(std::uint64_t);
-    n += uopQueue_.size() * sizeof(FetchedUop);
+    n += uopQueue_.stateBytes();
     n += divBusyUntil_.size() * sizeof(Cycle);
     n += tournament_.stateBytes() + btb_.stateBytes() + ras_.stateBytes();
     n += l2_.metaBytes() + l1i_.metaBytes() + l1d_.metaBytes();
@@ -109,6 +166,15 @@ Core::cowStateBytes() const
            l1d_.dataBytes();
 }
 
+void
+Core::account(SnapshotStats &stats, bool deep) const
+{
+    // The predecoded text is immutable and never copied, not even by a
+    // deep copy: it is shared in both modes.
+    stats.bytesCopied = deepStateBytes() + (deep ? cowStateBytes() : 0);
+    stats.bytesShared = (deep ? 0 : cowStateBytes()) + text_->bytes();
+}
+
 Core::Snapshot
 Core::snapshot(SnapshotStats *stats, bool deep) const
 {
@@ -120,10 +186,8 @@ Core::snapshot(SnapshotStats *stats, bool deep) const
         copy->l1i_.detachData();
         copy->l1d_.detachData();
     }
-    if (stats) {
-        stats->bytesCopied = deepStateBytes() + (deep ? cowStateBytes() : 0);
-        stats->bytesShared = deep ? 0 : cowStateBytes();
-    }
+    if (stats)
+        account(*stats, deep);
     Snapshot s;
     s.state_ = std::move(copy);
     s.cycle_ = cycle_;
@@ -141,9 +205,10 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg,
            const Snapshot &snap, SnapshotStats *stats, bool deep)
     : Core(requireState(snap))
 {
-    // The program's text/data are embedded in the snapshot's memory;
-    // @p prog documents provenance but cannot be cross-checked cheaply.
-    (void)prog;
+    // The snapshot's memory embeds the program it ran; its predecoded
+    // text records which one.
+    MERLIN_ASSERT(text_->builtFrom(prog), "restoring a snapshot of '",
+                  text_->name, "' into program '", prog.name, "'");
     fixupAfterCopy();
     MERLIN_ASSERT(cfg.numPhysIntRegs == cfg_.numPhysIntRegs &&
                       cfg.sqEntries == cfg_.sqEntries &&
@@ -166,10 +231,8 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg,
         l1i_.detachData();
         l1d_.detachData();
     }
-    if (stats) {
-        stats->bytesCopied = deepStateBytes() + (deep ? cowStateBytes() : 0);
-        stats->bytesShared = deep ? 0 : cowStateBytes();
-    }
+    if (stats)
+        account(*stats, deep);
 }
 
 // ------------------------------------------------------ state equality
@@ -364,9 +427,7 @@ Core::L1dSink::onCacheWordReadMasked(EntryIndex word, std::uint8_t mask,
 void
 Core::scheduleCompletion(RobEntry &e, Cycle when)
 {
-    completions_.push(Completion{
-        when, e.seq, static_cast<std::uint32_t>(e.seq % cfg_.robEntries),
-        e.gen});
+    completions_.push(Completion{when, e.seq, robIdxOf(e), e.gen});
 }
 
 void
@@ -390,6 +451,17 @@ Core::raiseTrapAtCommit(RobEntry &e)
 // ---------------------------------------------------------------- fetch
 
 void
+Core::pushFetchTrap(TrapKind kind)
+{
+    FetchedUop &f = uopQueue_.pushBack();
+    f = FetchedUop{};
+    f.rip = fetchPc_;
+    f.fetchTrap = kind;
+    f.readyAt = cycle_ + cfg_.frontendDepth;
+    fetchHalted_ = true;
+}
+
+void
 Core::stageFetch()
 {
     if (fetchHalted_ || cycle_ < fetchResumeCycle_)
@@ -397,16 +469,13 @@ Core::stageFetch()
     if (uopQueue_.size() >= 32)
         return;
 
+    const Cycle ready_at = cycle_ + cfg_.frontendDepth;
     for (unsigned fetched = 0; fetched < cfg_.fetchWidth; ++fetched) {
-        // Permission / mapping check through functional memory.
-        std::uint64_t unused = 0;
-        if (mem_.fetch(fetchPc_, unused) != TrapKind::None) {
-            FetchedUop f;
-            f.rip = fetchPc_;
-            f.fetchTrap = TrapKind::PcOutOfText;
-            f.readyAt = cycle_ + cfg_.frontendDepth;
-            uopQueue_.push_back(f);
-            fetchHalted_ = true;
+        // Mapping / alignment check: only the text segment is
+        // executable.
+        const TextSlot *slot = text_->at(fetchPc_);
+        if (!slot) {
+            pushFetchTrap(TrapKind::PcOutOfText);
             return;
         }
 
@@ -417,30 +486,18 @@ Core::stageFetch()
             fetchResumeCycle_ = cycle_ + ar.latency;
             return;
         }
-        const std::uint64_t raw = l1i_.readBytes(
-            ar.set, ar.way,
-            static_cast<std::uint32_t>(fetchPc_ & (cfg_.l1i.lineSize - 1)),
-            8);
-
-        auto decoded = isa::decode(raw);
-        if (!decoded) {
-            FetchedUop f;
-            f.rip = fetchPc_;
-            f.fetchTrap = TrapKind::IllegalInstruction;
-            f.readyAt = cycle_ + cfg_.frontendDepth;
-            uopQueue_.push_back(f);
-            fetchHalted_ = true;
+        // The L1I holds exactly Program::text (see the file comment),
+        // so the predecoded slot is what decoding its bytes would give.
+        if (slot->n == 0) {
+            pushFetchTrap(TrapKind::IllegalInstruction);
             return;
         }
-        const isa::Instruction insn = *decoded;
-
-        StaticUop uops[isa::MAX_UOPS_PER_MACRO];
-        const unsigned n = isa::expand(insn, fetchPc_, uops);
+        const unsigned n = slot->n;
         const Addr fall = fetchPc_ + isa::INSN_BYTES;
 
         // Branch prediction for control-flow macros (control uop is
         // always the last uop of its macro).
-        bool is_ctrl = isa::isControlFlow(insn.op);
+        const bool is_ctrl = slot->ctrl != CtrlClass::None;
         bool pred_taken = false;
         Addr pred_target = fall;
         bool has_pred_state = false;
@@ -449,18 +506,15 @@ Core::stageFetch()
         Ras::Snapshot ras_snap{0, 0};
 
         if (is_ctrl) {
-            const StaticUop &ctrl = uops[n - 1];
-            if (isa::isCondBranch(insn.op)) {
+            const StaticUop &ctrl = slot->uops[n - 1];
+            if (slot->ctrl == CtrlClass::Cond) {
                 pred_state = tournament_.predict(fetchPc_);
                 has_pred_state = true;
                 pred_taken = pred_state.taken;
-                pred_target = pred_taken
-                                  ? static_cast<std::uint32_t>(insn.imm)
-                                  : fall;
-            } else if (insn.op == Opcode::JMP ||
-                       insn.op == Opcode::CALL) {
+                pred_target = pred_taken ? slot->target : fall;
+            } else if (slot->ctrl == CtrlClass::Direct) {
                 pred_taken = true;
-                pred_target = static_cast<std::uint32_t>(insn.imm);
+                pred_target = slot->target;
             } else {
                 // Indirect: JR or CALLR.
                 pred_taken = true;
@@ -483,25 +537,24 @@ Core::stageFetch()
         }
 
         for (unsigned i = 0; i < n; ++i) {
-            FetchedUop f;
-            f.su = uops[i];
+            FetchedUop &f = uopQueue_.pushBack();
+            f.su = slot->uops[i];
             f.rip = fetchPc_;
             f.upc = static_cast<Upc>(i);
             f.lastUop = (i == n - 1);
-            f.readyAt = cycle_ + cfg_.frontendDepth;
-            if (is_ctrl && i == n - 1) {
-                f.isCtrl = true;
-                f.predTaken = pred_taken;
-                f.predTarget = pred_target;
-                f.hasPredState = has_pred_state;
-                f.predState = pred_state;
-                f.rasValid = ras_valid;
-                f.rasSnap = ras_snap;
-            }
-            uopQueue_.push_back(f);
+            f.readyAt = ready_at;
+            f.fetchTrap = TrapKind::None;
+            const bool carries_pred = is_ctrl && i == n - 1;
+            f.isCtrl = carries_pred;
+            f.predTaken = carries_pred && pred_taken;
+            f.predTarget = carries_pred ? pred_target : 0;
+            f.hasPredState = carries_pred && has_pred_state;
+            f.predState = carries_pred ? pred_state : PredictionState{};
+            f.rasValid = carries_pred && ras_valid;
+            f.rasSnap = carries_pred ? ras_snap : Ras::Snapshot{0, 0};
         }
 
-        if (insn.op == Opcode::HALT) {
+        if (slot->halt) {
             fetchHalted_ = true;
             return;
         }
@@ -537,28 +590,43 @@ Core::stageRename()
             return;
 
         const SeqNum seq = robTailSeq_++;
-        RobEntry &e = robAt(seq);
-        const std::uint32_t gen = e.gen + 1;
-        e = RobEntry{};
-        e.gen = gen;
+        const std::uint32_t idx = robTailIdx_;
+        robTailIdx_ = nextRobIdx(idx);
+        // Every field is written below (no RobEntry{} re-zeroing: the
+        // pending-read log is only read up to nPending).
+        RobEntry &e = rob_[idx];
+        ++e.gen;
         e.seq = seq;
         e.rip = f.rip;
         e.upc = f.upc;
         e.lastUop = f.lastUop;
         e.su = f.su;
+        e.physDst = NO_PREG;
+        e.prevPhys = NO_PREG;
+        e.physSrc1 = f.su.src1 != isa::REG_NONE ? renameMap_[f.su.src1]
+                                                : NO_PREG;
+        e.physSrc2 = f.su.src2 != isa::REG_NONE ? renameMap_[f.su.src2]
+                                                : NO_PREG;
+        e.done = !needs_iq;
+        e.inIq = false;
         e.trap = f.fetchTrap;
+        e.resultValue = 0;
         e.isCtrl = f.isCtrl;
         e.predTaken = f.predTaken;
+        e.actualTaken = false;
         e.predTarget = f.predTarget;
+        e.actualTarget = 0;
         e.hasPredState = f.hasPredState;
         e.predState = f.predState;
         e.rasValid = f.rasValid;
         e.rasSnap = f.rasSnap;
+        e.storeSeq = 0;
+        e.sqSlot = -1;
+        e.isLoad = is_load;
+        e.loadOlderStoreSeq = is_load ? sqNextSeq_ : 0;
+        e.outValue = 0;
+        e.nPending = 0;
 
-        if (f.su.src1 != isa::REG_NONE)
-            e.physSrc1 = renameMap_[f.su.src1];
-        if (f.su.src2 != isa::REG_NONE)
-            e.physSrc2 = renameMap_[f.su.src2];
         if (f.su.dst != isa::REG_NONE) {
             e.physDst = freeList_.back();
             freeList_.pop_back();
@@ -575,40 +643,36 @@ Core::stageRename()
             q = SqEntry{};
             q.valid = true;
             q.storeSeq = sqNextSeq_;
-            q.robIdx = static_cast<std::uint32_t>(seq % cfg_.robEntries);
+            q.robIdx = idx;
             q.seqNum = seq;
             q.rip = f.rip;
             q.upc = f.upc;
             ++sqNextSeq_;
         }
-        if (is_load) {
-            e.isLoad = true;
-            e.loadOlderStoreSeq = sqNextSeq_;
+        if (is_load)
             ++lqOccupancy_;
-        }
 
         if (needs_iq)
-            iq_.push_back(static_cast<std::uint32_t>(seq %
-                                                     cfg_.robEntries));
-        else
-            e.done = true;
+            iq_.push_back(idx);
 
-        uopQueue_.pop_front();
+        uopQueue_.popFront();
     }
 }
 
 // ---------------------------------------------------------------- issue
 
 bool
-Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
-                  bool &can_forward, std::uint64_t &fwd_value,
-                  std::uint32_t &fwd_slot)
+Core::loadBlocked(const RobEntry &e, unsigned size, LoadCheck &ld)
 {
-    can_forward = false;
+    const Addr addr = ld.addr;
+    ld.forward = false;
+    if (e.loadOlderStoreSeq <= sqHeadSeq_)
+        return false;
     // Scan older stores youngest-first; the closest overlap decides.
-    for (std::uint64_t s = e.loadOlderStoreSeq; s-- > sqHeadSeq_;) {
-        const std::uint32_t slot =
-            static_cast<std::uint32_t>(s % cfg_.sqEntries);
+    std::uint32_t slot = static_cast<std::uint32_t>(
+        (e.loadOlderStoreSeq - 1) % cfg_.sqEntries);
+    for (std::uint64_t s = e.loadOlderStoreSeq; s-- > sqHeadSeq_;
+         slot = slot == 0 ? cfg_.sqEntries - 1 : slot - 1) {
         const SqEntry &q = sq_[slot];
         if (!q.valid)
             continue; // squash hole (only transiently possible)
@@ -626,27 +690,25 @@ Core::loadBlocked(const RobEntry &e, Addr addr, unsigned size,
             return true; // partial overlap: wait for drain
         const unsigned shift =
             static_cast<unsigned>(addr - q.addr) * 8;
+        ld.fwdMask = static_cast<std::uint8_t>(
+            (size >= 8 ? 0xffu : (1u << size) - 1u) << (shift / 8));
         // Physical consumption of the SQ data field — recorded even
-        // when the caller is only probing issue eligibility (a
-        // conservative over-report; see EffectSink).
-        emitEffect(Structure::StoreQueue, slot,
-                   static_cast<std::uint8_t>(
-                       (size >= 8 ? 0xffu : (1u << size) - 1u)
-                       << (shift / 8)),
-                   false);
+        // when the load ends up not issuing this cycle (a conservative
+        // over-report; see EffectSink).
+        emitEffect(Structure::StoreQueue, slot, ld.fwdMask, false);
         std::uint64_t v = sqData_[slot] >> shift;
         if (size < 8)
             v &= (1ULL << (size * 8)) - 1;
-        fwd_value = v;
-        fwd_slot = slot;
-        can_forward = true;
+        ld.fwdValue = v;
+        ld.fwdSlot = slot;
+        ld.forward = true;
         return false;
     }
     return false;
 }
 
 void
-Core::executeUop(RobEntry &e)
+Core::executeUop(RobEntry &e, const LoadCheck &ld)
 {
     const StaticUop &su = e.su;
     switch (su.kind) {
@@ -698,27 +760,26 @@ Core::executeUop(RobEntry &e)
       }
 
       case UopKind::Load: {
+        // Address, permission and ordering were checked at issue this
+        // cycle; executing re-reads the base register and the
+        // forwarded SQ bytes, and the effect trace records both again.
         ++stats_.loadsExecuted;
-        const Addr addr = prf_[e.physSrc1] + su.imm;
+        const Addr addr = ld.addr;
         addPendingRead(e, Structure::RegisterFile, e.physSrc1, cycle_,
                        phase::RegRead);
         emitEffect(Structure::RegisterFile, e.physSrc1, 0xff, false);
-        const TrapKind t = mem_.check(addr, su.memSize, false);
-        if (t != TrapKind::None) {
-            e.trap = t;
+        if (ld.trap != TrapKind::None) {
+            e.trap = ld.trap;
             scheduleCompletion(e, cycle_ + 1);
             break;
         }
-        bool can_forward = false;
         std::uint64_t value = 0;
-        std::uint32_t fwd_slot = 0;
-        const bool blocked =
-            loadBlocked(e, addr, su.memSize, can_forward, value, fwd_slot);
-        MERLIN_ASSERT(!blocked, "blocked load reached execute");
         Cycle done_at;
-        if (can_forward) {
+        if (ld.forward) {
+            emitEffect(Structure::StoreQueue, ld.fwdSlot, ld.fwdMask, false);
+            value = ld.fwdValue;
             ++stats_.storeForwards;
-            addPendingRead(e, Structure::StoreQueue, fwd_slot, cycle_,
+            addPendingRead(e, Structure::StoreQueue, ld.fwdSlot, cycle_,
                            phase::SqForwardRead);
             done_at = cycle_ + cfg_.forwardLatency;
         } else {
@@ -872,24 +933,22 @@ Core::stageIssue()
 
         // Memory-ordering check for loads (no pending reads recorded on
         // a blocked attempt; the final successful issue records them).
+        LoadCheck ld;
         if (e.su.kind == UopKind::Load) {
-            const Addr addr = prf_[e.physSrc1] + e.su.imm;
+            ld.addr = prf_[e.physSrc1] + e.su.imm;
             // Scheduling read: the register value decides whether the
             // load can issue this cycle, so it is physically consumed
             // even when the load ends up blocked.
             emitEffect(Structure::RegisterFile, e.physSrc1, 0xff, false);
-            if (mem_.check(addr, e.su.memSize, false) == TrapKind::None) {
-                bool fwd = false;
-                std::uint64_t v = 0;
-                std::uint32_t slot = 0;
-                if (loadBlocked(e, addr, e.su.memSize, fwd, v, slot)) {
-                    ++it;
-                    continue;
-                }
+            ld.trap = mem_.check(ld.addr, e.su.memSize, false);
+            if (ld.trap == TrapKind::None &&
+                loadBlocked(e, e.su.memSize, ld)) {
+                ++it;
+                continue;
             }
         }
 
-        executeUop(e);
+        executeUop(e, ld);
         switch (e.su.kind) {
           case UopKind::Mul:
             ++complex_used;
@@ -914,11 +973,15 @@ Core::stageIssue()
 // ------------------------------------------------------------ writeback
 
 void
-Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
+Core::squashAfter(std::uint32_t branch_idx, Addr redirect_to)
 {
     ++stats_.squashes;
+    RobEntry &b = rob_[branch_idx];
+    const SeqNum branch_seq = b.seq;
+    std::uint32_t idx = robTailIdx_;
     for (SeqNum s = robTailSeq_; s-- > branch_seq + 1;) {
-        RobEntry &e = robAt(s);
+        idx = idx == 0 ? cfg_.robEntries - 1 : idx - 1;
+        RobEntry &e = rob_[idx];
         ++e.gen; // invalidate in-flight completions
         e.nPending = 0;
         if (e.physDst != NO_PREG) {
@@ -933,14 +996,14 @@ Core::squashAfter(SeqNum branch_seq, Addr redirect_to)
             --lqOccupancy_;
     }
     robTailSeq_ = branch_seq + 1;
+    robTailIdx_ = nextRobIdx(branch_idx);
 
     // Drop squashed entries from the issue queue.
-    std::erase_if(iq_, [&](std::uint32_t idx) {
-        return rob_[idx].seq > branch_seq;
+    std::erase_if(iq_, [&](std::uint32_t i) {
+        return rob_[i].seq > branch_seq;
     });
 
     // Repair speculative predictor state.
-    RobEntry &b = robAt(branch_seq);
     if (b.hasPredState)
         tournament_.repairHistory(b.predState, b.actualTaken);
     if (b.rasValid) {
@@ -980,7 +1043,7 @@ Core::stageWriteback()
 
         if (e.isCtrl && e.actualTarget != e.predTarget) {
             ++stats_.branchMispredicts;
-            squashAfter(e.seq, e.actualTarget);
+            squashAfter(c.robIdx, e.actualTarget);
         }
     }
 }
@@ -1026,7 +1089,7 @@ void
 Core::stageCommit()
 {
     for (unsigned n = 0; n < cfg_.commitWidth && !robEmpty(); ++n) {
-        RobEntry &e = robAt(robHeadSeq_);
+        RobEntry &e = rob_[robHeadIdx_];
         if (!e.done)
             return;
 
@@ -1086,6 +1149,7 @@ Core::stageCommit()
             if (cfg_.instructionWindowEnd != 0 &&
                 stats_.instret >= cfg_.instructionWindowEnd) {
                 ++robHeadSeq_;
+                robHeadIdx_ = nextRobIdx(robHeadIdx_);
                 lastCommitCycle_ = cycle_;
                 terminate(isa::TerminateReason::WindowEnd, 0);
                 return;
@@ -1093,6 +1157,7 @@ Core::stageCommit()
         }
 
         ++robHeadSeq_;
+        robHeadIdx_ = nextRobIdx(robHeadIdx_);
         lastCommitCycle_ = cycle_;
     }
 }

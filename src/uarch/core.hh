@@ -17,15 +17,33 @@
  * Stage evaluation order within a cycle is commit -> writeback -> issue ->
  * rename/dispatch -> fetch, so dependent single-cycle ops execute on
  * back-to-back cycles, as in the gem5 O3 model.
+ *
+ * Text immutability.  Fetch does not read instruction bytes out of the
+ * L1I: it charges the L1I access for timing and takes the uops from a
+ * table decoded once from Program::text.  That is exact because no
+ * cache level can ever hold text bytes other than Program::text: text
+ * is mapped R|X (Program::buildMemory), every store checks PermWrite
+ * before it enters the store queue, so no text line is ever dirty, and
+ * the only injected cache is the L1D, whose flips in a clean text line
+ * are dropped on eviction and never reach the L2 the L1I fills from.
+ * A change that lets text be written (or injects the L1I or L2) must
+ * give this up and decode the bytes the L1I holds.
+ *
+ * Cycle identity.  The core is the reference for every campaign's
+ * outcomes, so a change made for speed must leave each trajectory
+ * bit-identical: the cycle count, every CoreStats field, the
+ * ArchResult, the order and arguments of every probe and effect-sink
+ * callback, and snapshot contents (CoreTrajectory.* in
+ * tests/test_core.cc pins the first three over all workloads).
  */
 
 #ifndef MERLIN_UARCH_CORE_HH
 #define MERLIN_UARCH_CORE_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <queue>
+#include <string>
 #include <vector>
 
 #include "isa/interp.hh"
@@ -64,9 +82,9 @@ struct CoreStats
 
 /**
  * Byte accounting of one snapshot capture or restore: how much state
- * was deep-copied versus referenced through shared COW chunks.  The
- * seed engine deep-copied total(); the COW substrate copies only
- * bytesCopied.
+ * was deep-copied versus referenced through shared COW chunks or the
+ * shared predecoded text.  The seed engine deep-copied the COW part of
+ * total() too; the COW substrate copies only bytesCopied.
  */
 struct SnapshotStats
 {
@@ -94,8 +112,9 @@ class Core
          Probe *probe = nullptr);
 
     /**
-     * Resume from @p snap instead of cycle 0.  Only the watchdog /
-     * window knobs of @p cfg may differ from the snapshotted
+     * Resume from @p snap instead of cycle 0.  @p prog must be the
+     * program the snapshot was captured from (asserted).  Only the
+     * watchdog / window knobs of @p cfg may differ from the snapshotted
      * configuration; structural parameters must match.  The restored
      * core never carries a probe.  @p stats, when given, receives the
      * restore's byte accounting; @p deep forces a full detach of all
@@ -181,6 +200,9 @@ class Core
 
     /** Bytes a memberwise copy shares through COW chunks. */
     std::uint64_t cowStateBytes() const;
+
+    /** Byte accounting of a capture or restore of this core's state. */
+    void account(SnapshotStats &stats, bool deep) const;
 
     static constexpr std::uint16_t NO_PREG = 0xffff;
 
@@ -329,6 +351,125 @@ class Core
         bool operator==(const FetchedUop &) const = default;
     };
 
+    /**
+     * Fixed-capacity FIFO of fetched uops.  Fetch stops while 32 or
+     * more uops wait and then adds at most fetchWidth macros, so
+     * 32 + fetchWidth * MAX_UOPS_PER_MACRO slots (rounded up to a power
+     * of two for mask indexing) never overflow.  Equality is
+     * element-wise in queue order, whatever the two rings' heads.
+     */
+    class UopRing
+    {
+      public:
+        UopRing() = default;
+        explicit UopRing(unsigned min_capacity);
+
+        bool empty() const { return size_ == 0; }
+        unsigned size() const { return size_; }
+        FetchedUop &front() { return buf_[head_]; }
+        /** Append a slot and return it (its old contents are stale). */
+        FetchedUop &
+        pushBack()
+        {
+            return buf_[(head_ + size_++) & mask_];
+        }
+        void
+        popFront()
+        {
+            head_ = (head_ + 1) & mask_;
+            --size_;
+        }
+        void
+        clear()
+        {
+            head_ = 0;
+            size_ = 0;
+        }
+        /** Bytes a memberwise copy duplicates: the whole array. */
+        std::uint64_t
+        stateBytes() const
+        {
+            return buf_.size() * sizeof(FetchedUop);
+        }
+        bool operator==(const UopRing &o) const;
+
+      private:
+        std::vector<FetchedUop> buf_;
+        unsigned mask_ = 0;
+        unsigned head_ = 0;
+        unsigned size_ = 0;
+    };
+
+    /** How fetch predicts a control-flow macro. */
+    enum class CtrlClass : std::uint8_t
+    {
+        None,     ///< not control flow
+        Cond,     ///< conditional branch: tournament predictor
+        Direct,   ///< JMP / CALL: taken to the immediate
+        Indirect, ///< JR / CALLR: RAS for returns, else BTB
+    };
+
+    /** One 8-byte text slot, decoded and expanded once. */
+    struct TextSlot
+    {
+        isa::StaticUop uops[isa::MAX_UOPS_PER_MACRO];
+        std::uint8_t n = 0; ///< uop count; 0 marks an illegal encoding
+        CtrlClass ctrl = CtrlClass::None;
+        bool halt = false;
+        Addr target = 0; ///< direct target (the immediate, zero-extended)
+    };
+
+    /**
+     * The text segment decoded once per program: a slot for every
+     * 8-byte word up to the 64-byte-rounded segment end (the zero
+     * padding included), plus what it was built from, so a restore
+     * can check the snapshot's provenance.  Immutable; snapshots and
+     * restored cores share it.
+     */
+    struct PredecodedText
+    {
+        explicit PredecodedText(const isa::Program &prog);
+
+        /** The slot at @p pc, or null outside text or misaligned. */
+        const TextSlot *
+        at(Addr pc) const
+        {
+            const Addr off = pc - isa::layout::TEXT_BASE;
+            if (off % isa::INSN_BYTES != 0 ||
+                off / isa::INSN_BYTES >= slots.size()) {
+                return nullptr;
+            }
+            return &slots[off / isa::INSN_BYTES];
+        }
+
+        /** True if @p prog is the program this table was built from. */
+        bool builtFrom(const isa::Program &prog) const;
+
+        std::uint64_t
+        bytes() const
+        {
+            return slots.size() * sizeof(TextSlot) + text.size();
+        }
+
+        std::string name;
+        Addr entry;
+        std::vector<std::uint8_t> text;
+        std::size_t dataBytes;
+        std::uint64_t bssSize;
+        std::vector<TextSlot> slots;
+    };
+
+    /** A load's address and memory-ordering check, made at issue. */
+    struct LoadCheck
+    {
+        Addr addr = 0;
+        isa::TrapKind trap = isa::TrapKind::None;
+        bool forward = false; ///< an older store supplies every byte
+        std::uint8_t fwdMask = 0;
+        std::uint32_t fwdSlot = 0;
+        std::uint64_t fwdValue = 0;
+    };
+
     struct Completion
     {
         Cycle cycle;
@@ -353,20 +494,30 @@ class Core
     void stageFetch();
 
     // Helpers.
-    RobEntry &robAt(SeqNum seq) { return rob_[seq % cfg_.robEntries]; }
-    const RobEntry &robAt(SeqNum seq) const
-    {
-        return rob_[seq % cfg_.robEntries];
-    }
     bool robFull() const { return robTailSeq_ - robHeadSeq_ >= cfg_.robEntries; }
     bool robEmpty() const { return robTailSeq_ == robHeadSeq_; }
+    std::uint32_t
+    nextRobIdx(std::uint32_t idx) const
+    {
+        return idx + 1 == cfg_.robEntries ? 0 : idx + 1;
+    }
+    std::uint32_t
+    robIdxOf(const RobEntry &e) const
+    {
+        return static_cast<std::uint32_t>(&e - rob_.data());
+    }
 
-    void executeUop(RobEntry &e);
-    bool loadBlocked(const RobEntry &e, Addr addr, unsigned size,
-                     bool &can_forward, std::uint64_t &fwd_value,
-                     std::uint32_t &fwd_slot);
+    void pushFetchTrap(isa::TrapKind kind);
+    /** Execute @p e; @p ld is its issue-time check if it is a load. */
+    void executeUop(RobEntry &e, const LoadCheck &ld);
+    /**
+     * Scan the stores older than load @p e for @p ld.addr; true if
+     * the load must wait.  Fills @p ld's forwarding fields and emits
+     * the forwarded bytes' SQ read effect.
+     */
+    bool loadBlocked(const RobEntry &e, unsigned size, LoadCheck &ld);
     void scheduleCompletion(RobEntry &e, Cycle when);
-    void squashAfter(SeqNum branch_seq, Addr redirect_to);
+    void squashAfter(std::uint32_t branch_idx, Addr redirect_to);
     void terminate(isa::TerminateReason reason, int exit_code);
     void raiseTrapAtCommit(RobEntry &e);
     void addPendingRead(RobEntry &e, Structure s, EntryIndex entry,
@@ -395,10 +546,13 @@ class Core
     std::uint16_t renameMap_[isa::NUM_RENAMEABLE_REGS];
     std::uint16_t commitMap_[isa::NUM_RENAMEABLE_REGS];
 
-    // Window.
+    // Window.  The slot indices track robHeadSeq_ / robTailSeq_ modulo
+    // robEntries, so they are never compared: the sequence numbers are.
     std::vector<RobEntry> rob_;
     SeqNum robHeadSeq_ = 0;
     SeqNum robTailSeq_ = 0;
+    std::uint32_t robHeadIdx_ = 0;
+    std::uint32_t robTailIdx_ = 0;
     std::vector<std::uint32_t> iq_; ///< rob indices, program order
     std::priority_queue<Completion, std::vector<Completion>,
                         std::greater<Completion>>
@@ -412,10 +566,11 @@ class Core
     unsigned lqOccupancy_ = 0;
 
     // Frontend.
+    std::shared_ptr<const PredecodedText> text_;
     Addr fetchPc_;
     Cycle fetchResumeCycle_ = 0;
     bool fetchHalted_ = false; ///< stop fetching until redirect
-    std::deque<FetchedUop> uopQueue_;
+    UopRing uopQueue_;
 
     // Execution resources.
     std::vector<Cycle> divBusyUntil_;

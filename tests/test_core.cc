@@ -579,15 +579,65 @@ TEST(CoreSnapshot, CowRestoreCopiesFarFewerBytesThanDeep)
     SnapshotStats cow, deep;
     Core a(p, cfg, snap, &cow);
     Core b(p, cfg, snap, &deep, /*deep=*/true);
-    EXPECT_EQ(deep.bytesShared, 0u);
     EXPECT_EQ(cow.total(), deep.total());
     // "Measurably fewer": at least 4x less actually copied.
     EXPECT_LT(cow.bytesCopied, deep.bytesCopied / 4);
+
+    // A deep restore detaches exactly memory and the three cache data
+    // arrays; what it still shares is the predecoded text, which no
+    // copy ever duplicates.
+    const std::uint64_t cow_arrays =
+        p.buildMemory(cfg.memChunkBytes).contentBytes() +
+        cfg.l1i.sizeBytes + cfg.l1d.sizeBytes + cfg.l2.sizeBytes;
+    EXPECT_EQ(cow.bytesShared - deep.bytesShared, cow_arrays);
+    EXPECT_EQ(deep.bytesCopied - cow.bytesCopied, cow_arrays);
+    EXPECT_GT(deep.bytesShared, p.text.size());
+    EXPECT_EQ(cap.bytesShared, cow.bytesShared);
 
     // Both restore flavours still produce the same run.
     a.run();
     b.run();
     expectSameFinalState(a, b);
+}
+
+TEST(CoreSnapshot, UopQueueCopiesItsWholeRingWhateverItHolds)
+{
+    // A run of NOPs renames into neither registers, IQ nor completions,
+    // so between captures only the uop queue's fill level changes: a
+    // copy duplicates the whole ring, so every capture copies the same
+    // byte count.
+    std::string src;
+    for (int i = 0; i < 64; ++i)
+        src += "nop\n";
+    src += "halt 0\n";
+    auto p = prog(src);
+    Core core(p, CoreConfig{});
+    SnapshotStats first;
+    core.snapshot(&first);
+    while (core.tick()) {
+        SnapshotStats st;
+        core.snapshot(&st);
+        ASSERT_EQ(st.bytesCopied, first.bytesCopied) << core.cycle();
+        ASSERT_EQ(st.bytesShared, first.bytesShared) << core.cycle();
+    }
+    EXPECT_EQ(core.result().reason, isa::TerminateReason::Halted);
+}
+
+TEST(CoreSnapshot, RestoringAnotherProgramsSnapshotTrips)
+{
+    auto p = prog("movi a0, 1\nmovi a1, 2\nout.d a0\nhalt 0\n");
+    auto other = prog("movi a0, 1\nmovi a1, 3\nout.d a0\nhalt 0\n");
+    CoreConfig cfg;
+    Core running(p, cfg);
+    while (running.cycle() < 10 && running.tick()) {
+    }
+    Core::Snapshot snap = running.snapshot();
+    EXPECT_NO_THROW((Core(p, cfg, snap)));
+    // Same name, same sizes, one different immediate.
+    EXPECT_THROW((Core(other, cfg, snap)), SimAssertError);
+    // A copy of the program is the same program.
+    const isa::Program copy = p;
+    EXPECT_NO_THROW((Core(copy, cfg, snap)));
 }
 
 TEST(CoreSnapshot, RunsAfterRestoreNeverLeakIntoTheSnapshot)
