@@ -90,30 +90,14 @@ Cache::writeLineBelow(Addr line_addr, const std::uint8_t *data, Cycle now,
 }
 
 Cache::AccessResult
-Cache::access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
+Cache::miss(Addr addr, std::uint32_t set, Addr tag, bool is_write,
+            Cycle now, Rip rip, Upc upc)
 {
     const Addr laddr = lineAddr(addr);
-    const std::uint32_t set = setOf(addr);
-    const Addr tag = tagOf(addr);
     Line *set_lines = &lines_[std::size_t(set) * cfg_.ways];
 
     AccessResult res;
     res.set = set;
-
-    // Hit path.
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        Line &line = set_lines[w];
-        if (line.valid && line.tag == tag) {
-            line.lruStamp = ++lruCounter_;
-            if (is_write)
-                line.dirty = true;
-            ++hits_;
-            res.way = w;
-            res.hit = true;
-            res.latency = cfg_.hitLatency;
-            return res;
-        }
-    }
 
     // Miss: prefer an invalid way, else evict the least recently used.
     ++misses_;

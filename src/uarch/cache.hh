@@ -92,8 +92,25 @@ class Cache
      * lives and the accumulated latency.  @p is_write marks the line
      * dirty.  @p rip / @p upc tag any write-back this access triggers.
      */
-    AccessResult access(Addr addr, bool is_write, Cycle now, Rip rip,
-                        Upc upc);
+    AccessResult
+    access(Addr addr, bool is_write, Cycle now, Rip rip, Upc upc)
+    {
+        // Hit path inline (most accesses hit); misses fill out of line.
+        const std::uint32_t set = setOf(addr);
+        const Addr tag = tagOf(addr);
+        Line *set_lines = &lines_[std::size_t(set) * cfg_.ways];
+        for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
+            Line &line = set_lines[w];
+            if (line.valid && line.tag == tag) {
+                line.lruStamp = ++lruCounter_;
+                if (is_write)
+                    line.dirty = true;
+                ++hits_;
+                return AccessResult{cfg_.hitLatency, set, w, true};
+            }
+        }
+        return miss(addr, set, tag, is_write, now, rip, upc);
+    }
 
     /** Read up to 8 bytes from a resident line (no alignment checks). */
     std::uint64_t readBytes(std::uint32_t set, std::uint32_t way,
@@ -191,6 +208,10 @@ class Cache
     {
         return (std::size_t(set) * cfg_.ways + way) * cfg_.lineSize;
     }
+
+    /** Evict a victim of @p set and fill @p addr's line into it. */
+    AccessResult miss(Addr addr, std::uint32_t set, Addr tag, bool is_write,
+                      Cycle now, Rip rip, Upc upc);
 
     /** Read-only view of a whole resident line. */
     const std::uint8_t *lineData(std::uint32_t set, std::uint32_t way) const;
