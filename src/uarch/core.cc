@@ -84,7 +84,7 @@ Core::Core(const isa::Program &prog, const CoreConfig &cfg, Probe *probe)
       ras_(cfg.rasEntries),
       text_(std::make_shared<const PredecodedText>(prog)),
       fetchPc_(prog.entry),
-      uopQueue_(32 + cfg.fetchWidth * isa::MAX_UOPS_PER_MACRO)
+      uopQueue_(FETCH_QUEUE_LIMIT + cfg.fetchWidth * isa::MAX_UOPS_PER_MACRO)
 {
     MERLIN_ASSERT(cfg_.numPhysIntRegs > isa::NUM_RENAMEABLE_REGS,
                   "need more physical than architectural registers");
@@ -427,7 +427,8 @@ Core::L1dSink::onCacheWordReadMasked(EntryIndex word, std::uint8_t mask,
 void
 Core::scheduleCompletion(RobEntry &e, Cycle when)
 {
-    completions_.push(Completion{when, e.seq, robIdxOf(e), e.gen});
+    completions_.push(Completion{
+        when, e.seq, static_cast<std::uint32_t>(&e - rob_.data()), e.gen});
 }
 
 void
@@ -466,7 +467,7 @@ Core::stageFetch()
 {
     if (fetchHalted_ || cycle_ < fetchResumeCycle_)
         return;
-    if (uopQueue_.size() >= 32)
+    if (uopQueue_.size() >= FETCH_QUEUE_LIMIT)
         return;
 
     const Cycle ready_at = cycle_ + cfg_.frontendDepth;

@@ -205,6 +205,8 @@ class Core
     void account(SnapshotStats &stats, bool deep) const;
 
     static constexpr std::uint16_t NO_PREG = 0xffff;
+    /** Fetch stalls while this many uops wait to be renamed. */
+    static constexpr unsigned FETCH_QUEUE_LIMIT = 32;
 
     struct PendingRead
     {
@@ -352,16 +354,16 @@ class Core
     };
 
     /**
-     * Fixed-capacity FIFO of fetched uops.  Fetch stops while 32 or
-     * more uops wait and then adds at most fetchWidth macros, so
-     * 32 + fetchWidth * MAX_UOPS_PER_MACRO slots (rounded up to a power
-     * of two for mask indexing) never overflow.  Equality is
-     * element-wise in queue order, whatever the two rings' heads.
+     * Fixed-capacity FIFO of fetched uops.  Fetch stops at
+     * FETCH_QUEUE_LIMIT waiting uops and otherwise adds at most
+     * fetchWidth macros, so FETCH_QUEUE_LIMIT + fetchWidth *
+     * MAX_UOPS_PER_MACRO slots (rounded up to a power of two for mask
+     * indexing) never overflow.  Equality is element-wise in queue
+     * order, whatever the two rings' heads.
      */
     class UopRing
     {
       public:
-        UopRing() = default;
         explicit UopRing(unsigned min_capacity);
 
         bool empty() const { return size_ == 0; }
@@ -500,11 +502,6 @@ class Core
     nextRobIdx(std::uint32_t idx) const
     {
         return idx + 1 == cfg_.robEntries ? 0 : idx + 1;
-    }
-    std::uint32_t
-    robIdxOf(const RobEntry &e) const
-    {
-        return static_cast<std::uint32_t>(&e - rob_.data());
     }
 
     void pushFetchTrap(isa::TrapKind kind);

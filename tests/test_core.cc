@@ -808,8 +808,8 @@ row(const Trajectory &t)
 {
     char buf[512];
     std::snprintf(buf, sizeof buf,
-                  "{\"%s\", %u, %u, %u, %s, %d, %d, 0x%016llxULL, %llu, "
-                  "%llu, %llu},",
+                  "{\"%s\", %u, %u, %u,\n     %s,\n     %d, %d, "
+                  "0x%016llxULL, %llu, %llu, %llu},",
                   t.workload, t.regs, t.sqEntries, t.l1dKb,
                   statsRow(t.stats).c_str(), t.reason, t.exitCode,
                   (unsigned long long)t.outputHash,
@@ -833,64 +833,160 @@ expectPinned(const Trajectory &want)
 
 // All 20 workloads at the default (Table 1) configuration.
 const Trajectory kDefaultTrajectories[] = {
-    {"susan_c", 256, 64, 64, {94848, 131900, 131900, 6503, 40654, 6503, 10021, 0, 10004, 16}, 0, 0, 0x1cad2792a7eef243ULL, 1099944, 2919, 7019891},
-    {"susan_s", 256, 64, 64, {18539, 36099, 36099, 56, 1954, 56, 9125, 0, 9108, 16}, 0, 0, 0xe1a3f74ac8f3e83aULL, 202288, 1800, 1329196},
-    {"susan_e", 256, 64, 64, {29536, 46561, 46561, 1117, 5554, 1117, 12328, 0, 12311, 16}, 0, 0, 0x74feef94d72bf4abULL, 276443, 3502, 2108387},
-    {"stringsearch", 256, 64, 64, {24349, 41452, 41452, 89, 7543, 89, 7448, 0, 7416, 32}, 0, 0, 0xccfd6b87a13ec0abULL, 411767, 4176, 4670585},
-    {"djpeg", 256, 64, 64, {60071, 157095, 157111, 1148, 11976, 1148, 18437, 0, 18357, 80}, 0, 0, 0x426fb3fc5917cfccULL, 875272, 4294, 11222184},
-    {"sha", 256, 64, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
-    {"fft", 256, 64, 64, {6846, 9251, 9251, 115, 453, 115, 1496, 0, 1464, 32}, 0, 0, 0x7c9ce5f36caa1203ULL, 107281, 3588, 904152},
-    {"qsort", 256, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"cjpeg", 256, 64, 64, {54949, 149917, 149933, 1143, 10440, 1143, 17920, 0, 17840, 80}, 0, 0, 0xea47dfb0f3768d64ULL, 724833, 3107, 10427843},
-    {"caes", 256, 64, 64, {17486, 30743, 30863, 733, 3202, 733, 4474, 0, 4469, 5}, 0, 0, 0x2f81a04315206396ULL, 240173, 5855, 958308},
-    {"bzip2", 256, 64, 64, {14920, 25000, 25000, 598, 6393, 598, 3266, 0, 3232, 34}, 4, 0, 0x14650fb0739d0383ULL, 100198, 10488, 70528},
-    {"gcc", 256, 64, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"mcf", 256, 64, 64, {16191, 25000, 25000, 345, 3650, 345, 6586, 0, 6442, 144}, 4, 0, 0x14650fb0739d0383ULL, 161007, 1194, 13377798},
-    {"gobmk", 256, 64, 64, {12170, 25000, 25076, 238, 5081, 238, 316, 5, 309, 2}, 4, 0, 0x14650fb0739d0383ULL, 111432, 9969, 141519},
-    {"hmmer", 256, 64, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
-    {"sjeng", 256, 64, 64, {18030, 25000, 29633, 1195, 5039, 1195, 2308, 29, 2279, 0}, 4, 0, 0x14650fb0739d0383ULL, 205002, 4892, 437244},
-    {"libquantum", 256, 64, 64, {13608, 25000, 25000, 510, 6951, 510, 1814, 0, 1778, 36}, 4, 0, 0x14650fb0739d0383ULL, 109778, 4694, 2940860},
-    {"h264ref", 256, 64, 64, {13212, 25000, 25000, 467, 3329, 467, 2354, 0, 2347, 7}, 4, 0, 0x14650fb0739d0383ULL, 130022, 56, 337922},
-    {"omnetpp", 256, 64, 64, {16471, 25000, 25580, 925, 3738, 925, 3826, 432, 3394, 0}, 4, 0, 0x14650fb0739d0383ULL, 175536, 4730, 637333},
-    {"astar", 256, 64, 64, {9729, 25000, 25017, 92, 7286, 92, 3448, 3, 3435, 10}, 4, 0, 0x14650fb0739d0383ULL, 78938, 3168, 566809},
+    {"susan_c", 256, 64, 64,
+     {94848, 131900, 131900, 6503, 40654, 6503, 10021, 0, 10004, 16},
+     0, 0, 0x1cad2792a7eef243ULL, 1099944, 2919, 7019891},
+    {"susan_s", 256, 64, 64,
+     {18539, 36099, 36099, 56, 1954, 56, 9125, 0, 9108, 16},
+     0, 0, 0xe1a3f74ac8f3e83aULL, 202288, 1800, 1329196},
+    {"susan_e", 256, 64, 64,
+     {29536, 46561, 46561, 1117, 5554, 1117, 12328, 0, 12311, 16},
+     0, 0, 0x74feef94d72bf4abULL, 276443, 3502, 2108387},
+    {"stringsearch", 256, 64, 64,
+     {24349, 41452, 41452, 89, 7543, 89, 7448, 0, 7416, 32},
+     0, 0, 0xccfd6b87a13ec0abULL, 411767, 4176, 4670585},
+    {"djpeg", 256, 64, 64,
+     {60071, 157095, 157111, 1148, 11976, 1148, 18437, 0, 18357, 80},
+     0, 0, 0x426fb3fc5917cfccULL, 875272, 4294, 11222184},
+    {"sha", 256, 64, 64,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"fft", 256, 64, 64,
+     {6846, 9251, 9251, 115, 453, 115, 1496, 0, 1464, 32},
+     0, 0, 0x7c9ce5f36caa1203ULL, 107281, 3588, 904152},
+    {"qsort", 256, 64, 64,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"cjpeg", 256, 64, 64,
+     {54949, 149917, 149933, 1143, 10440, 1143, 17920, 0, 17840, 80},
+     0, 0, 0xea47dfb0f3768d64ULL, 724833, 3107, 10427843},
+    {"caes", 256, 64, 64,
+     {17486, 30743, 30863, 733, 3202, 733, 4474, 0, 4469, 5},
+     0, 0, 0x2f81a04315206396ULL, 240173, 5855, 958308},
+    {"bzip2", 256, 64, 64,
+     {14920, 25000, 25000, 598, 6393, 598, 3266, 0, 3232, 34},
+     4, 0, 0x14650fb0739d0383ULL, 100198, 10488, 70528},
+    {"gcc", 256, 64, 64,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"mcf", 256, 64, 64,
+     {16191, 25000, 25000, 345, 3650, 345, 6586, 0, 6442, 144},
+     4, 0, 0x14650fb0739d0383ULL, 161007, 1194, 13377798},
+    {"gobmk", 256, 64, 64,
+     {12170, 25000, 25076, 238, 5081, 238, 316, 5, 309, 2},
+     4, 0, 0x14650fb0739d0383ULL, 111432, 9969, 141519},
+    {"hmmer", 256, 64, 64,
+     {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"sjeng", 256, 64, 64,
+     {18030, 25000, 29633, 1195, 5039, 1195, 2308, 29, 2279, 0},
+     4, 0, 0x14650fb0739d0383ULL, 205002, 4892, 437244},
+    {"libquantum", 256, 64, 64,
+     {13608, 25000, 25000, 510, 6951, 510, 1814, 0, 1778, 36},
+     4, 0, 0x14650fb0739d0383ULL, 109778, 4694, 2940860},
+    {"h264ref", 256, 64, 64,
+     {13212, 25000, 25000, 467, 3329, 467, 2354, 0, 2347, 7},
+     4, 0, 0x14650fb0739d0383ULL, 130022, 56, 337922},
+    {"omnetpp", 256, 64, 64,
+     {16471, 25000, 25580, 925, 3738, 925, 3826, 432, 3394, 0},
+     4, 0, 0x14650fb0739d0383ULL, 175536, 4730, 637333},
+    {"astar", 256, 64, 64,
+     {9729, 25000, 25017, 92, 7286, 92, 3448, 3, 3435, 10},
+     4, 0, 0x14650fb0739d0383ULL, 78938, 3168, 566809},
 };
 
 // qsort, gcc, hmmer and sha at each Table-1 size variant of the
 // speedup figures (RF 128/64, SQ 32/16, L1D 32/16 KB).
 const Trajectory kSizeVariantTrajectories[] = {
-    {"qsort", 128, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"qsort", 64, 64, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"qsort", 256, 32, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"qsort", 256, 16, 64, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"qsort", 256, 64, 32, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"qsort", 256, 64, 16, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"gcc", 128, 64, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"gcc", 64, 64, 64, {14929, 25000, 25000, 678, 6272, 678, 4854, 180, 4668, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"gcc", 256, 32, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"gcc", 256, 16, 64, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"gcc", 256, 64, 32, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"gcc", 256, 64, 16, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"hmmer", 128, 64, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
-    {"hmmer", 64, 64, 64, {14749, 25000, 25000, 269, 1406, 269, 3867, 0, 3820, 47}, 4, 0, 0x14650fb0739d0383ULL, 113757, 6492, 4550460},
-    {"hmmer", 256, 32, 64, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
-    {"hmmer", 256, 16, 64, {13923, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 143201, 15643, 4248792},
-    {"hmmer", 256, 64, 32, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
-    {"hmmer", 256, 64, 16, {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
-    {"sha", 128, 64, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
-    {"sha", 64, 64, 64, {15719, 35014, 35014, 144, 3069, 144, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 170010, 1542, 381032},
-    {"sha", 256, 32, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
-    {"sha", 256, 16, 64, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
-    {"sha", 256, 64, 32, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
-    {"sha", 256, 64, 16, {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"qsort", 128, 64, 64,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 64, 64, 64,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 32, 64,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 16, 64,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 64, 32,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"qsort", 256, 64, 16,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"gcc", 128, 64, 64,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 64, 64, 64,
+     {14929, 25000, 25000, 678, 6272, 678, 4854, 180, 4668, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 32, 64,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 16, 64,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 64, 32,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"gcc", 256, 64, 16,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"hmmer", 128, 64, 64,
+     {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 64, 64, 64,
+     {14749, 25000, 25000, 269, 1406, 269, 3867, 0, 3820, 47},
+     4, 0, 0x14650fb0739d0383ULL, 113757, 6492, 4550460},
+    {"hmmer", 256, 32, 64,
+     {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 256, 16, 64,
+     {13923, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 143201, 15643, 4248792},
+    {"hmmer", 256, 64, 32,
+     {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"hmmer", 256, 64, 16,
+     {13878, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 142998, 20176, 4234806},
+    {"sha", 128, 64, 64,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 64, 64, 64,
+     {15719, 35014, 35014, 144, 3069, 144, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 170010, 1542, 381032},
+    {"sha", 256, 32, 64,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 16, 64,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 64, 32,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
+    {"sha", 256, 64, 16,
+     {15611, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 182351, 1542, 376719},
 };
 
 // A geometry the suite accepts in which no injected structure is a
 // power of two: L1D 48 KB (192 sets), 100 registers, 24 SQ entries.
 const Trajectory kOddGeometryTrajectories[] = {
-    {"qsort", 100, 24, 48, {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32}, 0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
-    {"gcc", 100, 24, 48, {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6}, 4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
-    {"hmmer", 100, 24, 48, {14028, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47}, 4, 0, 0x14650fb0739d0383ULL, 136137, 15886, 4297084},
-    {"sha", 100, 24, 48, {15612, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9}, 0, 0, 0xd351bf63b31c4ec3ULL, 181825, 1542, 376776},
+    {"qsort", 100, 24, 48,
+     {21568, 21695, 23426, 1299, 4924, 1299, 5872, 155, 5682, 32},
+     0, 0, 0x6972964d4ecf1d79ULL, 126298, 9399, 5225978},
+    {"gcc", 100, 24, 48,
+     {14929, 25000, 25000, 680, 6272, 680, 4864, 183, 4675, 6},
+     4, 0, 0x14650fb0739d0383ULL, 87605, 3549, 647585},
+    {"hmmer", 100, 24, 48,
+     {14028, 25000, 25000, 270, 1406, 270, 3902, 0, 3855, 47},
+     4, 0, 0x14650fb0739d0383ULL, 136137, 15886, 4297084},
+    {"sha", 100, 24, 48,
+     {15612, 35014, 35014, 204, 3069, 204, 3265, 0, 3256, 9},
+     0, 0, 0xd351bf63b31c4ec3ULL, 181825, 1542, 376776},
 };
 
 TEST(CoreTrajectory, AllWorkloadsAtDefaultConfig)
@@ -960,8 +1056,8 @@ TEST(CoreTrajectory, L1dFlipInALoadedTextLineNeverReachesFetch)
     // Second load saw the flip; the executed instruction did not.
     EXPECT_EQ(r.output[0] ^ r.output[8], 1);
     EXPECT_EQ(r.output[16], 7);
-    EXPECT_EQ(core.stats(), (CoreStats{395, 610, 610, 13, 200, 13, 14, 0, 13, 1}))
-        << statsRow(core.stats());
+    const CoreStats pinned{395, 610, 610, 13, 200, 13, 14, 0, 13, 1};
+    EXPECT_EQ(core.stats(), pinned) << statsRow(core.stats());
 }
 
 } // namespace
