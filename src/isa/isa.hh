@@ -114,7 +114,7 @@ std::uint64_t encode(const Instruction &insn);
 /**
  * Decode 8 raw bytes.  Returns std::nullopt for an invalid opcode or
  * register field — the fetch path turns that into an illegal-instruction
- * trap (a flipped L1I/L2 bit can produce one).
+ * trap (the core decodes each text word once, see uarch/core.hh).
  */
 std::optional<Instruction> decode(std::uint64_t raw);
 
