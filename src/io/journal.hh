@@ -6,8 +6,9 @@
  * The result store persists whole campaigns; a process killed
  * mid-campaign loses every injection it had already simulated.  The
  * journal closes that gap: as injections of a campaign complete, their
- * (fault key, outcome) pairs are appended to a per-spec file next to
- * the shard spill and fsync'd on a short cadence.  A resumed suite
+ * (fault key, outcome) pairs are appended to a per-spec file in the
+ * directory beside the store (`<store>.journal/<spec key>.journal`)
+ * and fsync'd on a short cadence.  A resumed suite
  * (--resume) restores the journal into a map of known outcomes that
  * the injection batch answers from, so only the missing injections
  * run again — and because outcomes are a pure function of their

@@ -1,6 +1,5 @@
 #include "io/result_store.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -234,13 +233,14 @@ ResultStore::load()
     obs::Span span("io", "store.load");
     // A directory at the store path opens "successfully" but reads
     // nothing, which would fall through to the empty-file diagnosis
-    // and blame a truncated save for what is a path mix-up (a shard
-    // --out-dir passed as --out, say).  Name the real problem.
+    // and blame a truncated save for what is a path mix-up (a suite's
+    // <out>.journal/ passed as a store, say).  Name the real problem.
     if (std::filesystem::is_directory(path_))
         fatal("result store '", path_,
               "' is a directory, not a store file — pass the store "
-              "FILE here (a shard directory merges with `merlin_cli "
-              "store merge`)");
+              "FILE here (a suite writes one store, its --out; "
+              "`merlin_cli store merge` folds worker stores, not "
+              "directories)");
     std::ifstream in(path_);
     if (!in)
         return false;
@@ -255,16 +255,16 @@ ResultStore::load()
     if (text.find_first_not_of(" \t\r\n") == std::string::npos)
         fatal("result store '", path_,
               "' is empty — likely truncated by an interrupted save; "
-              "delete it (or restore it from shards with `merlin_cli "
-              "store merge`) before resuming");
+              "delete it (or re-merge it from the worker stores with "
+              "`merlin_cli store merge`) before resuming");
     Json doc;
     try {
         doc = Json::parse(text);
     } catch (const FatalError &e) {
         fatal("result store '", path_,
               "' is not a valid store (", e.what(),
-              "); delete it (or restore it from shards with "
-              "`merlin_cli store merge`) before resuming");
+              "); delete it (or re-merge it from the worker stores "
+              "with `merlin_cli store merge`) before resuming");
     }
     const std::string format = doc.strOr("format", "");
     for (const char *retired : kRetiredFormatTags) {
@@ -407,39 +407,6 @@ ResultStore::merge(const ResultStore &other, bool force_theirs)
         ++stats.replaced;
     }
     return stats;
-}
-
-std::vector<std::string>
-gatherStoreFiles(const std::vector<std::string> &inputs)
-{
-    std::vector<std::string> files;
-    for (const std::string &in : inputs) {
-        if (std::filesystem::is_directory(in)) {
-            std::vector<std::string> shard_files;
-            for (const auto &e :
-                 std::filesystem::directory_iterator(in)) {
-                if (e.is_regular_file() &&
-                    e.path().extension() == ".json")
-                    shard_files.push_back(e.path().string());
-            }
-            if (shard_files.empty())
-                fatal("store gather: directory '", in,
-                      "' holds no .json shards");
-            // Sorted so the fold order is reproducible (merge is
-            // order-independent anyway unless --force-theirs resolves
-            // conflicts).
-            std::sort(shard_files.begin(), shard_files.end());
-            files.insert(files.end(), shard_files.begin(),
-                         shard_files.end());
-        } else if (std::filesystem::is_regular_file(in)) {
-            files.push_back(in);
-        } else {
-            fatal("store gather: '", in,
-                  "' is neither a store file nor a shard directory — "
-                  "did a worker fail to deliver its output?");
-        }
-    }
-    return files;
 }
 
 ResultStore::MergeStats

@@ -126,9 +126,9 @@ class ResultStore
      * the same spec always produces the same result — a mismatch
      * means one store is corrupt or was produced by a different
      * engine, and is fatal unless @p force_theirs resolves it by
-     * taking @p other's entry.  Merging the per-campaign shards of a
-     * suite therefore reproduces the single-store run byte-for-byte,
-     * in any shard order.
+     * taking @p other's entry.  Merging the worker stores of a
+     * planned suite split therefore reproduces the single-store run
+     * byte-for-byte, in any gather order.
      */
     MergeStats merge(const ResultStore &other, bool force_theirs = false);
 
@@ -147,20 +147,12 @@ class ResultStore
 };
 
 /**
- * Expand a mixed list of store files and shard directories into the
- * store files to merge: directories contribute their *.json members,
- * sorted.  fatal() on a missing input or a directory with no shards —
- * a gather that silently skips a worker's output would "succeed" with
- * an incomplete store.
- */
-std::vector<std::string>
-gatherStoreFiles(const std::vector<std::string> &inputs);
-
-/**
  * Load every file of @p files and fold it into @p into (see
  * ResultStore::merge for the conflict rules).  The gather half of
- * distributed dispatch: inputs from any number of workers, in any
- * order, reassemble the single-host store.
+ * distributed dispatch: worker stores, in any order, reassemble the
+ * single-host store.  fatal() on an input it cannot open — a gather
+ * that silently skipped a worker's store would "succeed" with an
+ * incomplete store.
  */
 ResultStore::MergeStats
 mergeStoreFiles(ResultStore &into, const std::vector<std::string> &files,

@@ -40,8 +40,11 @@ SegmentedMemory::addSegment(Addr base, std::uint64_t size,
 const SegmentedMemory::Segment *
 SegmentedMemory::find(Addr addr, unsigned len) const
 {
+    // Compare offsets, never addr + len: an access within len bytes of
+    // 2^64 would wrap around and "fit" whichever segment comes first.
     for (const auto &s : segments_) {
-        if (addr >= s.base && addr + len <= s.base + s.size)
+        const Addr off = addr - s.base;
+        if (addr >= s.base && off <= s.size && len <= s.size - off)
             return &s;
     }
     return nullptr;

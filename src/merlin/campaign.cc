@@ -110,22 +110,21 @@ Campaign::Campaign(const isa::Program &prog, const CampaignConfig &cfg)
 CampaignResult
 Campaign::run(bool inject_all_survivors)
 {
-    return runImpl(inject_all_survivors, /*relyzer=*/false, 0);
+    return runImpl(inject_all_survivors, /*relyzer=*/false, 0,
+                   /*grouping_only=*/false);
 }
 
 CampaignResult
 Campaign::runRelyzer(bool inject_all_survivors, unsigned path_depth)
 {
-    return runImpl(inject_all_survivors, /*relyzer=*/true, path_depth);
+    return runImpl(inject_all_survivors, /*relyzer=*/true, path_depth,
+                   /*grouping_only=*/false);
 }
 
 CampaignResult
 Campaign::runGroupingOnly(bool relyzer, unsigned path_depth)
 {
-    groupingOnly_ = true;
-    CampaignResult r = runImpl(false, relyzer, path_depth);
-    groupingOnly_ = false;
-    return r;
+    return runImpl(false, relyzer, path_depth, /*grouping_only=*/true);
 }
 
 PreparedCampaign
@@ -286,10 +285,11 @@ Campaign::finish(PreparedCampaign prep,
 }
 
 CampaignResult
-Campaign::runImpl(bool inject_all, bool relyzer, unsigned path_depth)
+Campaign::runImpl(bool inject_all, bool relyzer, unsigned path_depth,
+                  bool grouping_only)
 {
     PreparedCampaign prep =
-        prepare(inject_all, relyzer, path_depth, groupingOnly_);
+        prepare(inject_all, relyzer, path_depth, grouping_only);
     if (prep.groupingOnly)
         return std::move(prep.result);
 

@@ -60,10 +60,10 @@ struct CampaignConfig
     unsigned jobs = 1;
     /** Golden-run checkpoint cadence in cycles (0 = disabled). */
     Cycle checkpointInterval =
-        faultsim::InjectionRunner::kDefaultCheckpointInterval;
+        faultsim::RunnerOptions::kDefaultCheckpointInterval;
     /** Bound on retained checkpoints (the cadence doubles past it). */
     unsigned maxCheckpoints =
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints;
+        faultsim::RunnerOptions::kDefaultMaxCheckpoints;
     /**
      * End faulty runs at the first golden checkpoint whose state they
      * provably reconverged with (classification-preserving; off only
@@ -337,13 +337,12 @@ class Campaign
 
   private:
     CampaignResult runImpl(bool inject_all, bool relyzer,
-                           unsigned path_depth);
+                           unsigned path_depth, bool grouping_only);
 
     const isa::Program &prog_;
     CampaignConfig cfg_;
     std::shared_ptr<const faultsim::GoldenRun> golden_;
     std::unique_ptr<faultsim::InjectionRunner> runner_;
-    bool groupingOnly_ = false;
 };
 
 } // namespace merlin::core

@@ -239,22 +239,6 @@ CampaignService::journalPathFor(const CampaignSpec &spec) const
                      .string();
 }
 
-// One single-entry store per campaign, named by the spec key, so
-// `store merge` folds shards in any order into exactly the
-// single-store bytes.  Caller holds storeMu_ — two writers racing on
-// one shard path (a manifest may repeat a spec) must serialize.
-void
-CampaignService::spillShardLocked(const std::string &shard_dir,
-                                  const CampaignSpec &spec,
-                                  const core::CampaignResult &res)
-{
-    io::ResultStore shard(
-        (std::filesystem::path(shard_dir) / (spec.key() + ".json"))
-            .string());
-    putResult(shard, spec, res);
-    shard.save();
-}
-
 CampaignService::TicketPtr
 CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
 {
@@ -275,11 +259,7 @@ CampaignService::submit(const CampaignSpec &spec, const SubmitOptions &opts)
     core::CampaignResult cachedRes;
     if (opts.reuseCached) {
         std::lock_guard<std::mutex> lock(storeMu_);
-        if (store_.lookup(key, cachedRes)) {
-            cacheHit = true;
-            if (!opts.shardDir.empty())
-                spillShardLocked(opts.shardDir, spec, cachedRes);
-        }
+        cacheHit = store_.lookup(key, cachedRes);
     }
 
     if (cacheHit) {
@@ -648,23 +628,6 @@ CampaignService::borrowGolden(Job &job, const isa::Program &prog,
     return artifact;
 }
 
-std::vector<std::string>
-CampaignService::shardDirsOf(const Job &job)
-{
-    // Snapshot under the service mutex (subscribers may still be
-    // attaching); distinct dirs only — one shard file per campaign
-    // per directory, however many tickets share it.
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> dirs;
-    for (const TicketPtr &t : job.tickets) {
-        const std::string &d = t->opts_.shardDir;
-        if (!d.empty() &&
-            std::find(dirs.begin(), dirs.end(), d) == dirs.end())
-            dirs.push_back(d);
-    }
-    return dirs;
-}
-
 obs::ProgressSink *
 CampaignService::primaryProgress(const Job &job)
 {
@@ -751,15 +714,12 @@ CampaignService::runJob(Job &job)
                                  : a.reason < b.reason;
                   });
     }
-    const std::vector<std::string> shardDirs = shardDirsOf(job);
     {
         // Persist after EVERY campaign: an interrupted service
         // resumes from the completed prefix.
         std::lock_guard<std::mutex> lock(storeMu_);
         putResult(store_, spec, res);
         store_.save();
-        for (const std::string &dir : shardDirs)
-            spillShardLocked(dir, spec, res);
     }
     // The store save is durable; the journal has nothing left to
     // protect (and must not shadow the next run of this spec).

@@ -22,7 +22,7 @@
  *     from a stored one only in early_exit, replay, checkpointing or
  *     mem_chunk_bytes is a hit too;
  *   - every completed campaign is persisted (put + atomic save) under
- *     one store mutex, with optional single-entry shard spill;
+ *     one store mutex;
  *   - a crash-safe outcome journal protects each running campaign, and
  *     is removed once the store save lands.  A resumed campaign answers
  *     its journalled faults from the restored outcomes; store and
@@ -90,10 +90,9 @@ class CampaignService
         /** Result-store path; empty = keep results in memory only. */
         std::string storePath;
         /**
-         * Outcome-journal directory; empty = journaling off.  The
-         * batch wrapper derives it exactly as before (shard dir when
-         * spilling, else storePath + ".journal"); the daemon keeps it
-         * beside its store.
+         * Outcome-journal directory; empty = journaling off.  Both
+         * the batch wrapper and the daemon keep it beside the store,
+         * at storePath + ".journal".
          */
         std::string journalDir;
         /** Quarantine knobs (operational, never part of a spec). */
@@ -140,8 +139,6 @@ class CampaignService
     {
         /** Serve store hits instead of re-running. */
         bool reuseCached = false;
-        /** Shard-spill directory; empty = off. */
-        std::string shardDir;
         /** Fairness queue / telemetry label for this submitter. */
         std::string client = "local";
         /** Optional live-progress counters to bump (not owned). */
@@ -276,9 +273,6 @@ class CampaignService
     std::shared_ptr<const workloads::BuiltWorkload>
     workloadFor(const std::string &name);
     std::string journalPathFor(const CampaignSpec &spec) const;
-    void spillShardLocked(const std::string &shard_dir,
-                          const CampaignSpec &spec,
-                          const core::CampaignResult &res);
     void maybeSpawnDriverLocked();
     void driverLoop();
     std::shared_ptr<Job> popNextLocked();
@@ -289,7 +283,6 @@ class CampaignService
     borrowGolden(Job &job, const isa::Program &prog,
                  const core::CampaignConfig &cc, bool grouping_only);
     void releaseGoldenLocked(Job &job);
-    std::vector<std::string> shardDirsOf(const Job &job);
     obs::ProgressSink *primaryProgress(const Job &job);
 
     const Config cfg_;

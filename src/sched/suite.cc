@@ -1,7 +1,6 @@
 #include "sched/suite.hh"
 
 #include <exception>
-#include <filesystem>
 #include <set>
 
 #include "base/logging.hh"
@@ -368,9 +367,9 @@ SuiteScheduler::run()
     progress.campaignsTotal.store(specs_.size(),
                                   std::memory_order_relaxed);
 
-    // The engine: a CampaignService scoped to this one suite.  The
-    // config derivations (journal placement, store loading only under
-    // --resume) are exactly the one-shot scheduler's old rules.
+    // The engine: a CampaignService scoped to this one suite.  Its
+    // journals live beside the store at <out>.journal/ (no --out, no
+    // journaling), and the store is loaded only under --resume.
     // startPaused preserves the batch phase structure: every cache
     // hit resolves against the loaded store BEFORE any campaign
     // mutates it, so reports and store bytes cannot depend on
@@ -378,31 +377,20 @@ SuiteScheduler::run()
     CampaignService::Config cfg;
     cfg.jobs = opts_.jobs;
     cfg.storePath = opts_.storePath;
-    cfg.journalDir =
-        !opts_.shardDir.empty()
-            ? opts_.shardDir
-            : (opts_.storePath.empty() ? std::string()
-                                       : opts_.storePath + ".journal");
+    cfg.journalDir = opts_.storePath.empty()
+                         ? std::string()
+                         : opts_.storePath + ".journal";
     cfg.injectWallLimit = opts_.injectWallLimit;
     cfg.quarantineFail = opts_.quarantineFail;
     cfg.loadStore = opts_.reuseCached;
     cfg.startPaused = true;
     CampaignService svc(cfg);
 
-    if (!opts_.shardDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(opts_.shardDir, ec);
-        if (ec)
-            fatal("suite: cannot create shard directory '",
-                  opts_.shardDir, "': ", ec.message());
-    }
-
     // Submit every spec; cache hits resolve immediately on this
     // thread (the service is paused, so nothing mutates the store
     // underneath the lookups), misses queue for the drivers.
     CampaignService::SubmitOptions sopts;
     sopts.reuseCached = opts_.reuseCached;
-    sopts.shardDir = opts_.shardDir;
     sopts.client = "suite";
     sopts.progress = &progress;
     std::vector<CampaignService::TicketPtr> tickets(specs_.size());

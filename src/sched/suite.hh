@@ -81,9 +81,9 @@ struct CampaignSpec
     core::GroupingOptions grouping;
     std::uint64_t seed = 1;
     Cycle checkpointInterval =
-        faultsim::InjectionRunner::kDefaultCheckpointInterval;
+        faultsim::RunnerOptions::kDefaultCheckpointInterval;
     unsigned maxCheckpoints =
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints;
+        faultsim::RunnerOptions::kDefaultMaxCheckpoints;
     /**
      * Engine knobs (with checkpointInterval and maxCheckpoints above):
      * the runner honours them, manifests and toJson() carry them, but
@@ -114,8 +114,8 @@ struct CampaignSpec
 
     /**
      * toJson() minus the engine knobs, other members in the same
-     * order: the hash input of key(), and the spec the result store,
-     * its shards and wire `result` replies record.
+     * order: the hash input of key(), and the spec the result store
+     * and wire `result` replies record.
      */
     io::Json keyJson() const;
 
@@ -157,8 +157,8 @@ void putResult(io::ResultStore &store, const CampaignSpec &spec,
  * Split a suite into @p n worker shares (`suite --plan n`): the
  * distinct spec keys in first-seen order, dealt round-robin, so a
  * repeated spec lands in exactly one share.  The shares are disjoint
- * and cover every distinct key, so the workers' shard spills merge
- * back into exactly the single-host store.  fatal() when @p n is 0 or
+ * and cover every distinct key, so the workers' stores merge back
+ * into exactly the single-host store.  fatal() when @p n is 0 or
  * exceeds the number of distinct keys (a worker would get nothing).
  */
 std::vector<std::vector<CampaignSpec>>
@@ -168,17 +168,14 @@ struct SuiteOptions
 {
     /** Shared-pool worker threads (0 = hardware concurrency). */
     unsigned jobs = 1;
-    /** Result-store path; empty = keep results in memory only. */
-    std::string storePath;
     /**
-     * Shard-spill directory (--out-dir); empty = off.  Every suite
-     * campaign — run or served from the cache — is additionally
-     * written as a single-entry store file `<dir>/<spec key>.json`,
-     * so machines of a distributed sweep can each spill their share
-     * and `merlin_cli store merge` folds the shards back into one
-     * store byte-identical to a single-store run.
+     * Result-store path; empty = keep results in memory only.  The
+     * store is the suite's one deliverable: its outcome journals sit
+     * beside it at `<storePath>.journal/`, and the stores of the
+     * workers of a planned split merge (`merlin_cli store merge`)
+     * into the single-host store byte for byte.
      */
-    std::string shardDir;
+    std::string storePath;
     /**
      * Reuse stored results for matching spec keys instead of
      * re-running (--resume / cache hits).  Off = re-run everything and

@@ -214,10 +214,10 @@ campaignConfig(const Args &args, std::uint64_t default_window)
     cc.jobs = args.getU32("jobs", 1);
     cc.checkpointInterval = args.getU(
         "checkpoint-interval",
-        faultsim::InjectionRunner::kDefaultCheckpointInterval);
+        faultsim::RunnerOptions::kDefaultCheckpointInterval);
     cc.maxCheckpoints = args.getU32(
         "max-checkpoints",
-        faultsim::InjectionRunner::kDefaultMaxCheckpoints);
+        faultsim::RunnerOptions::kDefaultMaxCheckpoints);
     cc.earlyExit = args.getOnOff("early-exit", true);
     cc.replay = args.getOnOff("replay", true);
     cc.timeoutFactor = args.getU32(
@@ -239,7 +239,6 @@ suiteOptionsFromArgs(const Args &args)
     sched::SuiteOptions opts;
     opts.jobs = args.getU32("jobs", 1);
     opts.storePath = args.get("out");
-    opts.shardDir = args.get("out-dir");
     opts.reuseCached = args.has("resume");
     opts.injectWallLimit = args.getD("inject-wall-limit", 0.0);
     opts.quarantineFail = parseQuarantineFail(args);
@@ -405,8 +404,6 @@ printSuiteReport(const std::vector<sched::CampaignSpec> &specs,
     }
     if (!opts.storePath.empty())
         std::printf("results written to %s\n", opts.storePath.c_str());
-    if (!opts.shardDir.empty())
-        std::printf("shards spilled to %s/\n", opts.shardDir.c_str());
 }
 
 } // namespace merlin::tools

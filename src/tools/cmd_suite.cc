@@ -23,8 +23,9 @@ namespace
  * suite --plan n: emit one manifest per worker instead of running.
  * Each output holds that worker's share (sched::planShares), fully
  * resolved (defaults folded in, every member explicit), so running
- * each one on its own machine spills shards that merge back into
- * exactly the single-host store.
+ * each one on its own machine with its own --out yields a worker
+ * store, and `store merge` over the worker stores reproduces exactly
+ * the single-host store.
  */
 int
 cmdSuitePlan(const std::vector<sched::CampaignSpec> &specs,
@@ -79,7 +80,7 @@ cmdSuite(const std::string &manifest_path, const Args &args)
         return cmdSuitePlan(specs, args);
     }
     requireKnownFlags(args,
-                      {"jobs", "out", "out-dir", "resume", "quarantine",
+                      {"jobs", "out", "resume", "quarantine",
                        "inject-wall-limit", "trace", "metrics",
                        "progress", "progress-json"},
                       "suite");
@@ -145,21 +146,18 @@ cmdStoreMerge(int argc, char **argv, int start)
     if (out.empty())
         fatal("store merge requires --out <merged.json>");
     if (inputs.empty())
-        fatal("store merge requires at least one input store or "
-              "shard directory");
+        fatal("store merge requires at least one input store");
 
-    // The gather half of distributed dispatch, shared with the tests:
-    // expand shard directories (sorted members), then fold every
-    // store into one — byte-identical to the single-host run whatever
-    // the gather order.
-    const std::vector<std::string> files = io::gatherStoreFiles(inputs);
+    // The gather half of distributed dispatch: fold the worker stores
+    // into one — byte-identical to the single-host run whatever the
+    // gather order.
     io::ResultStore merged(out);
     const io::ResultStore::MergeStats total =
-        io::mergeStoreFiles(merged, files, force_theirs);
+        io::mergeStoreFiles(merged, inputs, force_theirs);
     merged.save();
     std::printf("merged %zu input%s -> %s: %zu campaigns "
                 "(%zu added, %zu identical, %zu replaced)\n",
-                files.size(), files.size() == 1 ? "" : "s",
+                inputs.size(), inputs.size() == 1 ? "" : "s",
                 out.c_str(), merged.size(), total.added,
                 total.identical, total.replaced);
     return 0;

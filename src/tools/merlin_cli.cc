@@ -39,7 +39,7 @@
  *       --quarantine=fail aborts on the first quarantined injection
  *       instead (default: continue).
  *   merlin_cli suite manifest.json
- *       [--jobs N] [--out results.json] [--out-dir DIR] [--resume]
+ *       [--jobs N] [--out results.json] [--resume]
  *       [--quarantine=fail|continue] [--inject-wall-limit SECONDS]
  *       [--trace trace.json] [--metrics metrics.json]
  *       [--progress[=SECS]] [--progress-json FILE]
@@ -50,11 +50,10 @@
  *       content hash of its spec; with --resume, specs already in the
  *       file are served from it (cache hits / crash recovery), and a
  *       campaign that was KILLED midway resumes from its outcome
- *       journal (an append-only fsync'd file beside the shard spill)
- *       with results byte-identical to an uninterrupted run.
- *       --out-dir additionally spills every campaign as a single-entry
- *       shard file DIR/<key>.json for `store merge`.  The results
- *       file holds outcomes only, so it is byte-identical across runs.
+ *       journal (an append-only fsync'd file under <out>.journal/)
+ *       with results byte-identical to an uninterrupted run.  The
+ *       store is the run's one deliverable; it holds outcomes only,
+ *       so it is byte-identical across runs.
  *       The engine knobs (early_exit, replay, checkpoint_interval,
  *       max_checkpoints, mem_chunk_bytes) are honoured but are not
  *       part of the key or of the stored spec: they never change an
@@ -78,10 +77,10 @@
  *       campaign).  The distinct spec keys are dealt round-robin in
  *       manifest order, so a repeated spec runs on one worker only;
  *       n may not exceed the number of distinct keys.  Run each
- *       manifest on its own machine with its own --out/--out-dir and
- *       `store merge` the gathered shards back into a store
- *       byte-identical to the single-host run (tools/dispatch.sh does
- *       all three steps).
+ *       manifest on its own machine with its own --out and `store
+ *       merge` the gathered worker stores into a store byte-identical
+ *       to the single-host run (tools/dispatch.sh does all three
+ *       steps).
  *   merlin_cli suite --diff A.json B.json
  *       [--axis knob,...] [--confidence C] [--out diff.json]
  *       Differential sweep: join two result stores on the spec content
@@ -92,11 +91,12 @@
  *       so naming one as an axis is an error.  Output is
  *       deterministic: sorted rows, byte-stable JSON with --out.
  *   merlin_cli store merge --out merged.json [--force-theirs]
- *       input... (store files and/or shard directories)
- *       Fold result stores/shards into one store.  A key on both sides
+ *       store.json...
+ *       Fold result store files into one store.  A key on both sides
  *       must carry bit-identical payloads; --force-theirs resolves
- *       conflicts by taking the later input.  Merging a suite's
- *       --out-dir shards reproduces its --out store byte-for-byte.
+ *       conflicts by taking the later input.  Merging the worker
+ *       stores of a --plan split, in any order, reproduces the
+ *       single-host store byte-for-byte.
  *   merlin_cli asm --file prog.s [--campaign rf|sq|l1d]
  *       Assemble a user program, run it, optionally run a campaign.
  *
@@ -168,7 +168,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "usage: merlin_cli suite manifest.json "
                              "[--jobs N] [--out results.json] "
-                             "[--out-dir DIR] [--resume] "
+                             "[--resume] "
                              "[--quarantine=fail|continue] "
                              "[--inject-wall-limit SECONDS] "
                              "[--trace trace.json] "
@@ -185,7 +185,7 @@ main(int argc, char **argv)
                 std::fprintf(stderr,
                              "usage: merlin_cli store merge --out "
                              "merged.json [--force-theirs] "
-                             "input...\n");
+                             "store.json...\n");
                 return 2;
             }
             return cmdStoreMerge(argc, argv, 3);

@@ -24,6 +24,7 @@
 #include <sys/types.h>
 #include <sys/wait.h>
 
+#include <algorithm>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -89,18 +90,10 @@ class ChaosFixture : public ::testing::Test
     {
         std::string p = testing::TempDir() + "merlin_chaos_" + name;
         cleanup_.push_back(p);
-        // The journal directory a store-only run places next to the
-        // store file, and the atomic-save temp file.
+        // The journal directory a suite places next to its store
+        // file, and the atomic-save temp file.
         cleanup_.push_back(p + ".journal");
         cleanup_.push_back(p + ".tmp");
-        return p;
-    }
-
-    std::string
-    dirPath(const std::string &name)
-    {
-        std::string p = testing::TempDir() + "merlin_chaos_" + name;
-        cleanup_.push_back(p);
         return p;
     }
 
@@ -194,10 +187,10 @@ TEST_F(ChaosFixture, KilledAndResumedStoreIsByteIdentical)
 
 /**
  * The distributed variant dispatch.sh leans on: one of the workers
- * (planned shares, private stores and shard spills) is killed mid-run
- * and re-dispatched with --resume; merging the shard directories must
- * still reproduce the single-host store byte-for-byte.  One worker
- * per campaign.
+ * (planned shares, each with a private store) is killed mid-run and
+ * re-dispatched with --resume; merging the worker stores, in either
+ * gather order, must still reproduce the single-host store
+ * byte-for-byte.  One worker per campaign.
  */
 TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
 {
@@ -211,15 +204,14 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
 
     const auto shares = planShares(specs, 2);
     std::mt19937 rng(0xBADF00D);
-    std::vector<std::string> shard_dirs;
+    std::vector<std::string> stores;
     for (int w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
         opts.reuseCached = true;
         opts.storePath =
             storePath("worker-" + std::to_string(w) + ".json");
-        opts.shardDir = dirPath("shards-" + std::to_string(w));
-        shard_dirs.push_back(opts.shardDir);
+        stores.push_back(opts.storePath);
 
         // Worker 1 is the casualty: killed mid-run, then re-dispatched.
         bool finished = w != 1;
@@ -229,10 +221,16 @@ TEST_F(ChaosFixture, KilledWorkerShareMergesByteIdentical)
             SuiteScheduler(shares[w], opts).run();
     }
 
-    io::ResultStore merged(storePath("share-merged.json"));
-    io::mergeStoreFiles(merged, io::gatherStoreFiles(shard_dirs));
-    merged.save();
-    EXPECT_EQ(fileBytes(merged.path()), want);
+    for (const bool reverse : {false, true}) {
+        if (reverse)
+            std::reverse(stores.begin(), stores.end());
+        io::ResultStore merged(storePath(
+            reverse ? "share-merged-rev.json" : "share-merged.json"));
+        io::mergeStoreFiles(merged, stores);
+        merged.save();
+        EXPECT_EQ(fileBytes(merged.path()), want)
+            << (reverse ? "reverse" : "forward") << " gather";
+    }
 }
 
 } // namespace

@@ -199,6 +199,18 @@ TEST(Core, SegfaultMatchesInterp)
                         "halt 0\n");
 }
 
+TEST(Core, SegfaultAtTheTopOfTheAddressSpace)
+{
+    // The load's line fill goes through readBlock near 2^64.
+    const std::string src = "movi a0, -8\n"
+                            "ld.d a1, [a0]\n"
+                            "halt 0\n";
+    const auto r = runCore(src);
+    ASSERT_EQ(r.traps.size(), 1u);
+    EXPECT_EQ(r.traps[0].kind, isa::TrapKind::Segfault);
+    expectMatchesInterp(src);
+}
+
 TEST(Core, MisalignedMatchesInterp)
 {
     expectMatchesInterp(".data\nb: .space 16\n.text\n"

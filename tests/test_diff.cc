@@ -1,9 +1,9 @@
 /**
  * @file
- * Differential-sweep tests: ResultStore::merge conflict policy, shard
- * spill + merge byte-fidelity against a single-store run, SuiteDiff
+ * Differential-sweep tests: ResultStore::merge conflict policy, worker
+ * store merge byte-fidelity against a single-store run, SuiteDiff
  * join/masking semantics, the reliability-invariant property suite
- * (diff(A,A) == 0, antisymmetry, --jobs and shard-order invariance)
+ * (diff(A,A) == 0, antisymmetry, --jobs and merge-order invariance)
  * and a golden-file regression lock on the diff report format.
  */
 
@@ -92,6 +92,9 @@ class MergeFixture : public ::testing::Test
         std::string p =
             testing::TempDir() + "merlin_merge_" + name + ".json";
         created_.push_back(p);
+        // The (empty once the run is done) journal directory a suite
+        // keeps beside its store; remove() takes empty directories.
+        created_.push_back(p + ".journal");
         return p;
     }
 
@@ -173,11 +176,12 @@ TEST_F(MergeFixture, MergeOrderDoesNotChangeTheBytes)
 }
 
 /**
- * The acceptance property: a suite spilling per-campaign shards
- * produces, after `store merge`, a file byte-for-byte equal to the
- * single-store run — in any shard fold order.
+ * The acceptance property: the stores of a suite split into worker
+ * halves fold, after `store merge`, into a file byte-for-byte equal to
+ * the single-store run — in either gather order, and also after a
+ * worker re-runs with --resume and serves its half from its store.
  */
-TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
+TEST_F(MergeFixture, WorkerStoresMergeToSingleStoreBytes)
 {
     std::vector<CampaignSpec> specs;
     specs.push_back(makeSpec("qsort", 64));
@@ -185,67 +189,45 @@ TEST_F(MergeFixture, ShardSpillPlusMergeEqualsSingleStoreBytes)
     specs.push_back(makeSpec("fft", 64));
     specs.back().sampling = core::specFixed(150);
 
-    const std::string shardDir =
-        testing::TempDir() + "merlin_merge_shards";
     SuiteOptions opts;
     opts.jobs = 2;
     opts.storePath = path("single");
-    opts.shardDir = shardDir;
     SuiteScheduler(specs, opts).run();
+    const std::string single = fileBytes(opts.storePath);
+    EXPECT_FALSE(single.empty());
 
-    std::vector<std::string> shards;
-    for (const auto &e :
-         std::filesystem::directory_iterator(shardDir)) {
-        shards.push_back(e.path().string());
-        created_.push_back(e.path().string());
+    std::vector<std::string> workers;
+    for (const char *name : {"worker0", "worker1"}) {
+        SuiteOptions wopts;
+        wopts.jobs = 2;
+        wopts.storePath = path(name);
+        SuiteScheduler({specs[workers.size()]}, wopts).run();
+        workers.push_back(wopts.storePath);
     }
-    ASSERT_EQ(shards.size(), specs.size());
-    std::sort(shards.begin(), shards.end());
 
     const auto mergeAll = [&](const std::vector<std::string> &files,
                               const std::string &out) {
         ResultStore merged(out);
-        for (const std::string &f : files) {
-            ResultStore part(f);
-            EXPECT_TRUE(part.load());
-            merged.merge(part);
-        }
+        io::mergeStoreFiles(merged, files);
         merged.save();
+        return fileBytes(out);
     };
-    const std::string fwd = path("folded_fwd");
-    const std::string rev = path("folded_rev");
-    mergeAll(shards, fwd);
-    auto reversed = shards;
+    auto reversed = workers;
     std::reverse(reversed.begin(), reversed.end());
-    mergeAll(reversed, rev);
+    EXPECT_EQ(single, mergeAll(workers, path("folded_fwd")))
+        << "worker merge diverged";
+    EXPECT_EQ(single, mergeAll(reversed, path("folded_rev")))
+        << "gather order leaked in";
 
-    const std::string single = fileBytes(opts.storePath);
-    EXPECT_FALSE(single.empty());
-    EXPECT_EQ(single, fileBytes(fwd)) << "shard merge diverged";
-    EXPECT_EQ(single, fileBytes(rev)) << "shard order leaked in";
-
-    // A --resume re-run serves every campaign from the store; the
-    // shard directory must STILL come out complete, or a distributed
-    // gather over resumed workers would silently drop campaigns.
-    std::error_code ec;
-    std::filesystem::remove_all(shardDir, ec);
-    opts.reuseCached = true;
-    SuiteResult resumed = SuiteScheduler(specs, opts).run();
-    EXPECT_EQ(resumed.campaignsRun, 0u);
-    const std::string refolded = path("folded_resumed");
-    std::vector<std::string> reshards;
-    for (const auto &e :
-         std::filesystem::directory_iterator(shardDir)) {
-        reshards.push_back(e.path().string());
-        created_.push_back(e.path().string());
-    }
-    ASSERT_EQ(reshards.size(), specs.size());
-    std::sort(reshards.begin(), reshards.end());
-    mergeAll(reshards, refolded);
-    EXPECT_EQ(single, fileBytes(refolded))
-        << "cache hits skipped the shard spill";
-
-    std::filesystem::remove_all(shardDir, ec);
+    // A --resume re-run serves its campaign from the worker store and
+    // leaves the store, so the gather still reassembles the bytes.
+    SuiteOptions resume;
+    resume.jobs = 2;
+    resume.storePath = workers[1];
+    resume.reuseCached = true;
+    EXPECT_EQ(SuiteScheduler({specs[1]}, resume).run().campaignsRun, 0u);
+    EXPECT_EQ(single, mergeAll(reversed, path("folded_resumed")))
+        << "a resumed worker store diverged";
 }
 
 // -------------------------------------------------- SuiteDiff joins
@@ -513,9 +495,9 @@ TEST(DiffInvariants, DiffIsAntisymmetric)
 /**
  * End-to-end invariance on REAL campaigns: the serialized diff of two
  * sweep sides must not change with the job count that produced either
- * side, nor with the shard order a side was reassembled from.
+ * side, nor with the merge order a side was reassembled from.
  */
-TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
+TEST(DiffInvariants, ReportInvariantToJobsAndMergeOrder)
 {
     const auto sideSpecs = [](unsigned l1d_kb) {
         std::vector<CampaignSpec> specs;
@@ -555,7 +537,7 @@ TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
     EXPECT_EQ(ref, diffDump(a1, b4));
     EXPECT_EQ(ref, diffDump(a4, b1));
 
-    // Shard-order invariance: rebuild side A by merging its entries
+    // Merge-order invariance: rebuild side A by merging its entries
     // in reversed order; the diff must not move.
     ResultStore reassembled;
     std::vector<std::pair<std::string, ResultStore::Entry>> entries(
@@ -568,7 +550,7 @@ TEST(DiffInvariants, ReportInvariantToJobsAndShardOrder)
         reassembled.merge(one);
     }
     EXPECT_EQ(ref, diffDump(reassembled, b1))
-        << "shard order leaked into the diff";
+        << "merge order leaked into the diff";
     // And the human table is equally order-blind.
     EXPECT_EQ(SuiteDiff(a1, b1, dopts).run().table(),
               SuiteDiff(reassembled, b4, dopts).run().table());

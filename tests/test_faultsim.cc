@@ -27,6 +27,17 @@ namespace
 
 using uarch::Structure;
 
+/** Runner options that differ from the defaults in checkpointing. */
+RunnerOptions
+checkpointing(Cycle interval,
+              unsigned max_ckpts = RunnerOptions::kDefaultMaxCheckpoints)
+{
+    RunnerOptions o;
+    o.checkpointInterval = interval;
+    o.maxCheckpoints = max_ckpts;
+    return o;
+}
+
 TEST(OutcomeNames, AllDistinct)
 {
     for (unsigned i = 0; i < NUM_OUTCOMES; ++i) {
@@ -313,8 +324,8 @@ TEST(Runner, CheckpointResumeMatchesFromScratch)
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
     // Fine-grained checkpoints vs none at all.
-    InjectionRunner ck(w.program, cfg, /*checkpoint_interval=*/128);
-    InjectionRunner scratch(w.program, cfg, /*checkpoint_interval=*/0);
+    InjectionRunner ck(w.program, cfg, checkpointing(128));
+    InjectionRunner scratch(w.program, cfg, checkpointing(0));
     auto g_ck = ck.golden();
     auto g_scratch = scratch.golden();
     ASSERT_FALSE(g_ck.checkpoints.empty());
@@ -340,7 +351,7 @@ TEST(Runner, CheckpointListIsAscendingAndBounded)
     auto w = workloads::buildWorkload("qsort");
     uarch::CoreConfig cfg;
     const unsigned max_ckpts = 8;
-    InjectionRunner runner(w.program, cfg, 64, max_ckpts);
+    InjectionRunner runner(w.program, cfg, checkpointing(64, max_ckpts));
     auto g = runner.golden();
     ASSERT_FALSE(g.checkpoints.empty());
     EXPECT_LE(g.checkpoints.size(), max_ckpts);
@@ -364,7 +375,8 @@ TEST(Runner, ThinnedCheckpointsHoldBitIdenticalGoldenState)
     uarch::CoreConfig cfg;
     const Cycle interval = 64;
     for (const unsigned max_ckpts : {16u, 8u}) {
-        InjectionRunner runner(w.program, cfg, interval, max_ckpts);
+        InjectionRunner runner(w.program, cfg,
+                               checkpointing(interval, max_ckpts));
         auto g = runner.golden();
         ASSERT_GE(g.checkpoints.size(), 2u);
 

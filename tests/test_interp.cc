@@ -183,6 +183,18 @@ TEST(Interp, SegfaultOnWildAccess)
     EXPECT_EQ(r.traps[0].kind, TrapKind::Segfault);
 }
 
+TEST(Interp, SegfaultAtTheTopOfTheAddressSpace)
+{
+    // addr + 8 wraps to 0 here; the access must still miss every
+    // segment rather than land in the text segment.
+    auto r = run("movi a0, -8\n"
+                 "ld.d a1, [a0]\n"
+                 "halt 0\n");
+    EXPECT_EQ(r.reason, TerminateReason::Trapped);
+    ASSERT_EQ(r.traps.size(), 1u);
+    EXPECT_EQ(r.traps[0].kind, TrapKind::Segfault);
+}
+
 TEST(Interp, MisalignedAccessTraps)
 {
     auto r = run(".data\nbuf: .space 16\n.text\n"

@@ -371,7 +371,7 @@ class StoreFixture : public ::testing::Test
     void
     TearDown() override
     {
-        // remove_all: some tests track shard directories, not files.
+        // remove_all: some tests track directories, not files.
         for (const std::string &p : created_) {
             std::error_code ec;
             std::filesystem::remove_all(p, ec);
@@ -466,11 +466,11 @@ TEST_F(StoreFixture, TruncatedStoresAreDiagnosedByName)
 
 TEST_F(StoreFixture, DirectoryAtStorePathIsDiagnosedAsPathMixUp)
 {
-    // A shard --out-dir passed where the store FILE belongs: the
-    // directory opens "successfully" and reads nothing, so without a
-    // dedicated check this would be blamed on a truncated save.  The
-    // diagnosis must name the path, say it is a directory, and point
-    // at `store merge`.
+    // A directory (a suite's <out>.journal/, say) passed where the
+    // store FILE belongs: it opens "successfully" and reads nothing,
+    // so without a dedicated check this would be blamed on a
+    // truncated save.  The diagnosis must name the path, say it is a
+    // directory, and point at `store merge`.
     const std::string p = track(testing::TempDir() + "merlin_dirstore");
     std::filesystem::create_directory(p);
     ResultStore store(p);
@@ -528,47 +528,22 @@ TEST_F(StoreFixture, WorkerSelectionMemberIsIgnoredAndDroppedOnSave)
     EXPECT_EQ(resaved, plain);
 }
 
-TEST_F(StoreFixture, GatherExpandsDirectoriesAndRejectsGaps)
+TEST_F(StoreFixture, MergeStoreFilesRejectsAMissingInput)
 {
-    // Two shard files in a directory plus one loose store file.
-    const std::string dir = track(testing::TempDir() + "merlin_shards");
-    std::filesystem::create_directories(dir);
-    const auto shard = [&](const char *name, const char *key) {
-        ResultStore s(dir + "/" + name);
-        s.put(key, Json::object(), sampleResult(false));
-        s.save();
-        track(dir + "/" + name);
-    };
-    shard("bb.json", "k2");
-    shard("aa.json", "k1");
-    std::ofstream(dir + "/notes.txt") << "ignored";
-    track(dir + "/notes.txt");
     const std::string loose = track(path("loose"));
     {
         ResultStore s(loose);
         s.put("k3", Json::object(), sampleResult(true));
         s.save();
     }
-
-    const auto files = gatherStoreFiles({dir, loose});
-    ASSERT_EQ(files.size(), 3u);
-    // Directory members come sorted; non-.json files are skipped.
-    EXPECT_EQ(files[0], dir + "/aa.json");
-    EXPECT_EQ(files[1], dir + "/bb.json");
-    EXPECT_EQ(files[2], loose);
-
     ResultStore merged;
-    const auto stats = mergeStoreFiles(merged, files);
-    EXPECT_EQ(stats.added, 3u);
-    EXPECT_EQ(merged.size(), 3u);
+    EXPECT_EQ(mergeStoreFiles(merged, {loose}).added, 1u);
 
-    // A missing input or a shard-less directory is a gather error —
-    // a silently skipped worker would yield an incomplete store.
-    EXPECT_THROW(gatherStoreFiles({path("no_such_input")}), FatalError);
-    const std::string empty_dir =
-        track(testing::TempDir() + "merlin_empty_shards");
-    std::filesystem::create_directories(empty_dir);
-    EXPECT_THROW(gatherStoreFiles({empty_dir}), FatalError);
+    // A missing input is a gather error — a silently skipped worker
+    // store would yield an incomplete store.
+    ResultStore partial;
+    EXPECT_THROW(mergeStoreFiles(partial, {loose, path("no_such_input")}),
+                 FatalError);
 }
 
 TEST_F(StoreFixture, SerializationIsIndependentOfInsertionOrder)

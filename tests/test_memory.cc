@@ -133,6 +133,27 @@ TEST(Memory, BlockSpanningSegmentBoundaryTraps)
     EXPECT_EQ(m.readBlock(0x2fe0, buf, 64), TrapKind::Segfault);
 }
 
+TEST(Memory, AccessesNearTwoToTheSixtyFourTrap)
+{
+    // addr + len wraps to a small number here, which must not make
+    // the access "fit" the lowest segment.
+    SegmentedMemory m;
+    m.addSegment(0x1000, 0x1000, PermRead | PermWrite | PermExec);
+    const Addr top8 = ~Addr{0} - 7;   // 2^64 - 8
+    const Addr top64 = ~Addr{0} - 63; // 2^64 - 64
+    std::uint64_t v = 0;
+    std::uint8_t buf[64] = {};
+    EXPECT_EQ(m.read(top8, 8, v), TrapKind::Segfault);
+    EXPECT_EQ(m.write(top8, 8, 1), TrapKind::Segfault);
+    EXPECT_EQ(m.check(top8, 8, false), TrapKind::Segfault);
+    EXPECT_EQ(m.fetch(top8, v), TrapKind::PcOutOfText);
+    EXPECT_EQ(m.readBlock(top64, buf, 64), TrapKind::Segfault);
+    EXPECT_EQ(m.writeBlock(top64, buf, 64), TrapKind::Segfault);
+    // The segment's own last bytes are still reachable.
+    EXPECT_EQ(m.read(0x1ff8, 8, v), TrapKind::None);
+    EXPECT_EQ(m.readBlock(0x1fc0, buf, 64), TrapKind::None);
+}
+
 TEST(Memory, BlockPermissionTraps)
 {
     SegmentedMemory m;

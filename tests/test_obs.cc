@@ -433,8 +433,8 @@ invarianceSpecs()
 /**
  * The telemetry guarantee in testable form: store bytes are identical
  * with every telemetry channel on vs off, for jobs 1 and 4.  (The
- * per-campaign journals are removed on completion, so the store and
- * shard bytes are the entire durable output.)
+ * per-campaign journals are removed on completion, so the store bytes
+ * are the entire durable output.)
  */
 TEST(TelemetryInvariance, StoreBytesIdenticalWithTelemetryOnOrOff)
 {

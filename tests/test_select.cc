@@ -3,7 +3,7 @@
  * Distributed-dispatch tests: the planShares laws (disjoint shares
  * covering every distinct spec key, repeated specs planned once, too
  * many workers refused) and the headline scatter/gather property —
- * the shard spills of planned worker manifests merged back are
+ * the stores of planned worker manifests merged back are
  * byte-identical to the single-host store for any worker count, job
  * count and gather order, also when a worker resumes from a store
  * that holds the whole suite.
@@ -187,6 +187,24 @@ fileBytes(const std::string &path)
 class DispatchFixture : public ::testing::Test
 {
   protected:
+    /** Merge @p stores forward and reverse; both must equal @p ref. */
+    void
+    expectMergesTo(std::vector<std::string> stores, const std::string &ref,
+                   const std::string &tag)
+    {
+        for (const bool reverse : {false, true}) {
+            if (reverse)
+                std::reverse(stores.begin(), stores.end());
+            const std::string merged_path =
+                scratch(tag + (reverse ? "_rev" : "_fwd") + ".json");
+            io::ResultStore merged(merged_path);
+            io::mergeStoreFiles(merged, stores);
+            merged.save();
+            EXPECT_EQ(fileBytes(merged_path), ref)
+                << tag << (reverse ? " reverse" : " forward");
+        }
+    }
+
     std::string
     scratch(const std::string &name)
     {
@@ -201,30 +219,30 @@ class DispatchFixture : public ::testing::Test
         for (const std::string &p : created_) {
             std::error_code ec;
             std::filesystem::remove_all(p, ec);
+            std::filesystem::remove_all(p + ".journal", ec);
         }
     }
 
     std::vector<std::string> created_;
 };
 
-/** How many shard files (store merge inputs) @p dir holds. */
+/** How many campaigns the store at @p path holds. */
 std::size_t
-shardCount(const std::string &dir)
+storeSize(const std::string &path)
 {
-    std::size_t n = 0;
-    for (const auto &e : std::filesystem::directory_iterator(dir))
-        n += e.path().extension() == ".json" ? 1 : 0;
-    return n;
+    io::ResultStore store(path);
+    EXPECT_TRUE(store.load()) << path;
+    return store.size();
 }
 
 /**
  * The acceptance property: plan the suite into n worker manifests,
- * each worker spilling its own shards; merging the shards (in forward
- * or reverse gather order) reproduces the single-host store
+ * each worker writing its own store; merging the worker stores (in
+ * forward or reverse gather order) reproduces the single-host store
  * byte-for-byte, for n in {1,2,3} x jobs in {1,4}.  The manifest
  * repeats one campaign, which the plan hands to one worker only.
  */
-TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
+TEST_F(DispatchFixture, MergedWorkerStoresMatchSingleHostBytes)
 {
     auto specs = suiteSpecs();
     specs.push_back(specs[1]);
@@ -240,32 +258,20 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
         for (unsigned jobs : {1u, 4u}) {
             const std::string tag =
                 std::to_string(n) + "_" + std::to_string(jobs);
-            std::vector<std::string> shard_dirs;
+            std::vector<std::string> stores;
             for (std::uint64_t w = 0; w < n; ++w) {
                 SuiteOptions opts;
                 opts.jobs = jobs;
-                opts.shardDir = scratch(tag + "_w" + std::to_string(w));
+                opts.storePath =
+                    scratch(tag + "_w" + std::to_string(w) + ".json");
                 SuiteScheduler(shares[w], opts).run();
-                // Every planned campaign spilled (what dispatch.sh
+                // Every planned campaign stored (what dispatch.sh
                 // checks before it merges).
-                EXPECT_EQ(shardCount(opts.shardDir), shares[w].size())
+                EXPECT_EQ(storeSize(opts.storePath), shares[w].size())
                     << tag << " worker " << w;
-                shard_dirs.push_back(opts.shardDir);
+                stores.push_back(opts.storePath);
             }
-
-            // Gather forward and reverse: same bytes either way.
-            for (const bool reverse : {false, true}) {
-                auto inputs = shard_dirs;
-                if (reverse)
-                    std::reverse(inputs.begin(), inputs.end());
-                const std::string merged_path = scratch(
-                    tag + (reverse ? "_rev" : "_fwd") + ".json");
-                io::ResultStore merged(merged_path);
-                io::mergeStoreFiles(merged, io::gatherStoreFiles(inputs));
-                merged.save();
-                EXPECT_EQ(fileBytes(merged_path), ref)
-                    << tag << (reverse ? " reverse" : " forward");
-            }
+            expectMergesTo(stores, ref, tag);
         }
     }
 }
@@ -273,11 +279,11 @@ TEST_F(DispatchFixture, MergedWorkerShardsMatchSingleHostBytes)
 /**
  * A worker resuming from a store that holds the whole suite — here
  * the single-host store copied to every worker — serves its share
- * from the cache and spills ONLY its share as shards: the entries of
- * other shares are never re-spilled, so the gathered shards still
+ * from the cache and keeps the other shares' entries in its store.
+ * Identical keys carry identical payloads, so the worker stores still
  * merge to the single-host bytes.
  */
-TEST_F(DispatchFixture, ResumeFromTheFullStoreSpillsOnlyTheShare)
+TEST_F(DispatchFixture, ResumeFromTheFullStoreMergesToTheReference)
 {
     const auto specs = suiteSpecs();
 
@@ -288,35 +294,30 @@ TEST_F(DispatchFixture, ResumeFromTheFullStoreSpillsOnlyTheShare)
     const std::string ref = fileBytes(ref_opts.storePath);
 
     const auto shares = planShares(specs, 2);
-    std::vector<std::string> shard_dirs;
+    std::vector<std::string> stores;
     for (std::uint64_t w = 0; w < 2; ++w) {
         SuiteOptions opts;
         opts.jobs = 2;
         opts.reuseCached = true;
         opts.storePath =
             scratch("seed_w" + std::to_string(w) + ".json");
-        opts.shardDir = scratch("seed_shards" + std::to_string(w));
         // Seed the worker store with the FULL single-host store.
         std::filesystem::copy_file(ref_opts.storePath, opts.storePath);
 
         SuiteResult r = SuiteScheduler(shares[w], opts).run();
-        shard_dirs.push_back(opts.shardDir);
+        stores.push_back(opts.storePath);
 
         // Every planned spec came from the cache; nothing re-ran.
         EXPECT_EQ(r.campaignsRun, 0u);
         for (std::size_t i = 0; i < shares[w].size(); ++i)
             EXPECT_TRUE(r.cached[i]) << "worker " << w << " spec " << i;
 
-        // The shard directory holds exactly this worker's share.
-        EXPECT_EQ(shardCount(opts.shardDir), shares[w].size())
+        // The seed's other campaigns stay in the worker store (the
+        // surplus dispatch.sh's count check refuses).
+        EXPECT_EQ(storeSize(opts.storePath), specs.size())
             << "worker " << w;
     }
-
-    const std::string merged_path = scratch("seed_merged.json");
-    io::ResultStore merged(merged_path);
-    io::mergeStoreFiles(merged, io::gatherStoreFiles(shard_dirs));
-    merged.save();
-    EXPECT_EQ(fileBytes(merged_path), ref);
+    expectMergesTo(stores, ref, "seeded");
 }
 
 } // namespace

@@ -4,10 +4,11 @@
 # Plans one suite manifest into n per-worker manifests with
 # `merlin_cli suite --plan n` (each distinct campaign in exactly one
 # share), runs every worker on its own manifest (local processes by
-# default, or one per SSH host with --hosts), gathers the per-campaign
-# shard directories, and folds them with `merlin_cli store merge` into
-# a single store that is byte-identical to a single-host run of the
-# same manifest — in any gather order.
+# default, or one per SSH host with --hosts), gathers the worker
+# stores — a worker's --out store is its one deliverable — and folds
+# them with `merlin_cli store merge` into a single store that is
+# byte-identical to a single-host run of the same manifest, in any
+# gather order.
 #
 # Fault tolerance: every --hosts entry is preflighted with a
 # short-timeout ssh no-op (unreachable hosts are dropped from the
@@ -34,7 +35,7 @@
 #   --cli           merlin_cli binary (local path; with --hosts it must
 #                   exist at this same path on every host)
 #   --work-dir      scratch directory for the plan and the worker
-#                   stores/shards/logs
+#                   stores/journals/logs
 #   --jobs          per-worker thread count (default 1)
 #   --out           merged store path (default <work-dir>/merged.json)
 #   --resume        pass --resume to workers on the FIRST attempt too
@@ -43,15 +44,13 @@
 #   --retries       re-dispatch a failed share up to N times (default 0)
 #   --retry-backoff base seconds between retry rounds, doubling each
 #                   round (default 5)
-#   --stall-timeout kill a local worker whose share shows no progress
-#                   (progress.json injections, or the shard count when
-#                   the file is absent) for S seconds, turning a hang
-#                   into a retryable failure (default 0 = off; local
-#                   mode only — remote progress is not visible until
-#                   scp)
+#   --stall-timeout kill a local worker whose progress.json counters
+#                   stop moving for S seconds, turning a hang into a
+#                   retryable failure (default 0 = off; local mode
+#                   only — remote progress is not visible until scp)
 #   --hosts         run workers over ssh, round-robin across the listed
-#                   hosts, instead of as local processes; shards are
-#                   gathered back with scp
+#                   hosts, instead of as local processes; each worker
+#                   store is copied back with scp
 #   --reference     after merging, byte-compare the merged store
 #                   against this single-host store and fail on any
 #                   difference
@@ -176,10 +175,11 @@ fi
 
 # ------------------------------------------------------------ scatter
 # One suite invocation per worker manifest.  Each worker gets a
-# private store (resume state), a private shard directory (the merge
-# inputs), and private progress/heartbeat files, so nothing below
-# shares a file.  Workers run with --progress-json so the monitor can
-# read structured progress instead of scraping logs.
+# private store (its deliverable, the merge input and its resume state,
+# with the outcome journals beside it in worker-<i>.json.journal/) and
+# private progress/heartbeat files, so nothing below shares a file.
+# Workers run with --progress-json so the monitor can read structured
+# progress instead of scraping logs.
 #
 # launch_worker SHARE ATTEMPT starts the share in the background and
 # leaves its pid in $launched_pid (NOT echoed: a command substitution
@@ -190,7 +190,6 @@ fi
 # resume the half-done one.
 launch_worker() {
     local i="$1" attempt="$2"
-    local shard_dir="$work_dir/shards-$i"
     local store="$work_dir/worker-$i.json"
     local log="$work_dir/worker-$i.log"
     local prog="$work_dir/worker-$i.progress.json"
@@ -203,13 +202,13 @@ launch_worker() {
     rm -f "$prog"
     if [ ${#host_list[@]} -eq 0 ]; then
         "$cli" suite "$share" --jobs "$jobs" \
-            --out "$store" --out-dir "$shard_dir" \
+            --out "$store" \
             --progress-json "$prog" "${resume_args[@]}" >> "$log" 2>&1 &
     else
         # Round-robin shares across the surviving hosts, rotated by
         # the attempt number.  The remote side needs the same
         # merlin_cli path; the worker's manifest is shipped to a
-        # per-worker scratch directory and the shards scp'd back.
+        # per-worker scratch directory and its store scp'd back.
         local host="${host_list[$(((i + attempt) % ${#host_list[@]}))]}"
         local remote_dir remote_manifest
         remote_dir=".merlin-dispatch/$(basename "$work_dir")/worker-$i"
@@ -219,11 +218,8 @@ launch_worker() {
             scp -q "$share" "$host:$remote_manifest" &&
             ssh "$host" "'$cli' suite '$remote_manifest' --jobs $jobs \
                 --out '$remote_dir/worker.json' \
-                --out-dir '$remote_dir/shards' \
                 --progress-json '$remote_dir/progress.json' \
                 ${resume_args[*]:-}" &&
-            mkdir -p "$shard_dir" &&
-            scp -q "$host:$remote_dir/shards/*.json" "$shard_dir/" &&
             scp -q "$host:$remote_dir/worker.json" "$store" &&
             # The final progress.json feeds the gather summary; losing
             # it only degrades reporting, never the merge.
@@ -236,9 +232,9 @@ launch_worker() {
 # monitor_worker SHARE PID heartbeats "epoch signature" into
 # worker-SHARE.heartbeat every 2 s while the share runs.  The change
 # signature is the worker's own progress.json (injection and campaign
-# counters — fine-grained, moves within a campaign) when the file
-# exists, with the shard count as the fallback for workers that
-# cannot surface one (remote shares before scp, older CLIs).  With
+# counters — fine-grained, moves within a campaign); a local worker
+# writes it before any work starts, and a missing file (a remote share
+# before scp) is simply a signature that does not change.  With
 # --stall-timeout, a local worker whose signature stops changing is
 # killed so the retry loop can re-dispatch its share.
 monitor_worker() {
@@ -250,11 +246,7 @@ monitor_worker() {
     while kill -0 "$pid" 2>/dev/null; do
         local now sig
         now=$(date +%s)
-        if [ -f "$prog" ]; then
-            sig="inj=$(progress_field "$prog" injections) done=$(progress_field "$prog" done)"
-        else
-            sig="shards=$(find "$work_dir/shards-$i" -name '*.json' 2>/dev/null | wc -l)"
-        fi
+        sig="inj=$(progress_field "$prog" injections) done=$(progress_field "$prog" done)"
         echo "$now $sig" > "$hb"
         if [ "$sig" != "$last_sig" ]; then
             last_sig=$sig
@@ -325,23 +317,25 @@ fi
 
 # ------------------------------------------------------------- gather
 # Every share exited 0.  Double-check before trusting the merge that
-# every worker spilled one shard per campaign of its planned manifest
-# (shards are named by spec key, and a plan holds each key once).
+# every worker store holds exactly the campaigns of its planned
+# manifest (a plan holds each key once).  More than planned means the
+# store was seeded with campaigns outside the suite, which the merge
+# would carry along — refuse that loudly instead.
 [ -n "$out" ] || out="$work_dir/merged.json"
-shard_dirs=()
+stores=()
 for i in $(seq 0 $((workers - 1))); do
-    dir="$work_dir/shards-$i"
+    store="$work_dir/worker-$i.json"
     planned=$(grep -c '"workload":' "$(share_manifest "$i")")
-    spilled=$(find "$dir" -maxdepth 1 -name '*.json' 2>/dev/null | wc -l)
-    [ "$spilled" -eq "$planned" ] ||
-        die "worker $i spilled $spilled of its $planned planned campaigns (see $work_dir/worker-$i.log)"
-    shard_dirs+=("$dir")
+    held=$(grep -c '"workload":' "$store" 2>/dev/null || true)
+    [ "${held:-0}" -eq "$planned" ] ||
+        die "worker $i store holds ${held:-0} campaigns, its plan $planned (see $work_dir/worker-$i.log)"
+    stores+=("$store")
 done
 
-# Fold every worker's shard directory into one store.  Merge is
-# order-independent (identical keys must carry identical payloads),
-# so any gather order reproduces the same bytes.
-"$cli" store merge --out "$out" "${shard_dirs[@]}"
+# Fold the worker stores into one.  Merge is order-independent
+# (identical keys must carry identical payloads), so any gather order
+# reproduces the same bytes.
+"$cli" store merge --out "$out" "${stores[@]}"
 
 if [ -n "$reference" ]; then
     cmp "$reference" "$out" ||
